@@ -13,7 +13,9 @@ The SVM is deliberately small: a precomputed Gram matrix and a
 sequential minimal optimization loop over pairs of dual variables, with
 deterministic pair selection so identical inputs always give the same
 classifier. Training sets here stay in the low hundreds, where this is
-both fast and exact enough.
+both fast and exact enough. Squared distances come from the surrogate's
+:func:`~mixbo.surrogate.sqdist`; the training distances are computed
+once and serve both the kernel width and the Gram matrix.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .space import Point, SearchSpace
+from .surrogate import sqdist
 
 
 class DegenerateValuesError(ValueError):
@@ -133,23 +136,13 @@ class RegionClassifier:
     def decision(self, points: np.ndarray) -> np.ndarray:
         """Signed distance-like score for each row of points."""
         q = np.atleast_2d(np.asarray(points, dtype=float))
-        d2 = (
-            np.sum(q**2, axis=1)[:, None]
-            + np.sum(self.support_vectors**2, axis=1)[None, :]
-            - 2.0 * q @ self.support_vectors.T
-        )
-        k = np.exp(-self.kernel_gamma * np.maximum(d2, 0.0))
+        k = np.exp(-self.kernel_gamma * sqdist(q, self.support_vectors))
         return k @ self.dual_coefs + self.bias
 
 
-def _median_heuristic_gamma(points: np.ndarray) -> float:
-    d2 = (
-        np.sum(points**2, axis=1)[:, None]
-        + np.sum(points**2, axis=1)[None, :]
-        - 2.0 * points @ points.T
-    )
-    iu = np.triu_indices(points.shape[0], k=1)
-    med = float(np.median(np.maximum(d2[iu], 0.0)))
+def _median_heuristic_gamma(d2: np.ndarray) -> float:
+    """Reciprocal median of the off-diagonal squared distances d2."""
+    med = float(np.median(d2[np.triu_indices(d2.shape[0], k=1)]))
     if med <= 0.0:
         return 1.0
     return 1.0 / med
@@ -199,13 +192,9 @@ def fit_classifier(
         raise ValueError("points must be finite")
 
     y = np.where(lab, 1.0, -1.0)
-    gamma = _median_heuristic_gamma(X)
-    d2 = (
-        np.sum(X**2, axis=1)[:, None]
-        + np.sum(X**2, axis=1)[None, :]
-        - 2.0 * X @ X.T
-    )
-    K = np.exp(-gamma * np.maximum(d2, 0.0))
+    d2 = sqdist(X, X)
+    gamma = _median_heuristic_gamma(d2)
+    K = np.exp(-gamma * d2)
 
     C = config.svm_c
     tol = 1e-3

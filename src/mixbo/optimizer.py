@@ -23,6 +23,7 @@ so runs with equal inputs are bit-for-bit reproducible.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -197,7 +198,10 @@ class Optimizer:
     ``suggest`` and ``observe`` must alternate strictly; breaking the
     protocol raises ProtocolError without corrupting state. Non-finite
     observed values are imputed to +inf and flagged rather than
-    rejected, so a crashing objective cannot wedge the loop.
+    rejected, so a crashing objective cannot wedge the loop; the
+    surrogate and the region labels see them as the worst finite value,
+    and a model batch with fewer than two finite values falls back to a
+    restart-style batch.
     """
 
     def __init__(self, space: SearchSpace, config: OptimizerConfig | None = None):
@@ -317,6 +321,13 @@ class Optimizer:
         cfg = self.config
         X = np.array([ob.warped for ob in self._history])
         y = np.array([ob.value for ob in self._history])
+        finite = np.isfinite(y)
+        if np.count_nonzero(finite) < 2:
+            return self._restart_batch()
+        # Failed evaluations count as the worst success, as in TuRBO and
+        # HEBO, so the surrogate and the region labels see them as bad
+        # without an infinite target.
+        y = np.where(finite, y, y[finite].max())
         blocks = space.blocks if cfg.enable_mixture_kernel else Blocks.all_real(space.dim)
         model = gp_fit(X, y, space, cfg.surrogate, blocks=blocks)
         self._model = model
@@ -373,7 +384,8 @@ class Optimizer:
             Must equal the pending suggestion, same order.
         values : sequence of float
             One value per point. NaN and infinities are imputed to +inf
-            and flagged in the history rather than rejected.
+            and flagged in the history rather than rejected, with one
+            RuntimeWarning per batch that had any.
         """
         if self._pending is None:
             raise ProtocolError("observe called with no pending suggestion")
@@ -397,6 +409,13 @@ class Optimizer:
             warned.append(not ok)
             if not ok:
                 self._counters["imputed_values"] += 1
+        if any(warned):
+            warnings.warn(
+                f"{sum(warned)} of {len(values)} observed values were not finite; "
+                "recorded as +inf",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
         pre_best = self._best_value
         flags = [v < pre_best for v in imputed]

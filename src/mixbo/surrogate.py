@@ -12,7 +12,9 @@ lengthscales, k_L is the linear covariance v * y.y' with v fixed at 1,
 and k_I averages per-dimension indicator matches. An absent block drops
 out of the sum and contributes a factor of 1 to the product, so a purely
 continuous space reduces to the plain Matern kernel. The mixing weight
-lam is a kernel hyperparameter on a small grid.
+lam is a kernel hyperparameter on a small grid. Every vectorized Gram,
+training, cross, and prior, is composed by one function from the block
+Grams that are present; the scalar kernels stay as the reference.
 
 Targets are standardized internally before fitting. Hyperparameters are
 chosen by maximizing the log marginal likelihood with a deterministic
@@ -23,7 +25,7 @@ evaluations, so fits are reproducible and their cost is bounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -49,6 +51,8 @@ class NumericalError(RuntimeError):
 class KernelParams:
     """Hyperparameters of the mixture kernel.
 
+    The Matern smoothness is not among them: the kernel is Matern 5/2.
+
     Parameters
     ----------
     lengthscales : ndarray
@@ -59,8 +63,6 @@ class KernelParams:
         Mixing weight between the sum and product composition, in [0, 1].
     noise_variance : float
         Observation noise added to the Gram diagonal, at least 1e-8.
-    nu : float
-        Matern smoothness, fixed at 2.5.
     v : float
         Linear-kernel variance, fixed at 1.0.
     """
@@ -69,7 +71,6 @@ class KernelParams:
     signal_variance: float = DEFAULT_SIGNAL_VARIANCE
     lam: float = 0.5
     noise_variance: float = DEFAULT_NOISE_VARIANCE
-    nu: float = 2.5
     v: float = 1.0
 
     def __post_init__(self) -> None:
@@ -91,20 +92,15 @@ class SurrogateConfig:
 
     The bounds are in warped units and the lengthscale and variance
     coordinates are searched on a log scale. ``lambda_grid`` lists the
-    admissible mixing weights. ``indicator`` selects how the z-block
-    kernel combines dimensions: ``"mean"`` averages per-dimension
-    matches, ``"strict"`` requires the whole block to match.
-    ``linear_on_raw`` feeds raw integer values instead of warped
-    coordinates to the linear kernel. ``max_fit_evals`` caps the number
-    of marginal-likelihood evaluations per fit.
+    admissible mixing weights. ``max_fit_evals`` caps the number of
+    marginal-likelihood evaluations per fit and ``n_sweeps`` the
+    coordinate sweeps per start.
     """
 
     lengthscale_bounds: tuple[float, float] = (5e-3, 2.0)
     signal_bounds: tuple[float, float] = (0.05, 20.0)
     noise_bounds: tuple[float, float] = (1e-6, 1e-2)
     lambda_grid: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
-    indicator: str = "mean"
-    linear_on_raw: bool = False
     max_fit_evals: int = 2000
     n_sweeps: int = 2
 
@@ -113,8 +109,6 @@ class SurrogateConfig:
             lo, hi = getattr(self, name)
             if not (0 < lo < hi):
                 raise ValueError(f"{name} must satisfy 0 < lo < hi")
-        if self.indicator not in ("mean", "strict"):
-            raise ValueError('indicator must be "mean" or "strict"')
         if not self.lambda_grid or any(not 0 <= g <= 1 for g in self.lambda_grid):
             raise ValueError("lambda_grid entries must lie in [0, 1]")
         if self.max_fit_evals < 10:
@@ -177,19 +171,14 @@ def indicator_kernel(z: np.ndarray, z2: np.ndarray, mode: str = "mean") -> float
     return float(np.mean(eq))
 
 
-def mixture_kernel(
-    h: np.ndarray,
-    h2: np.ndarray,
-    params: KernelParams,
-    blocks: Blocks,
-    indicator: str = "mean",
-) -> float:
+def mixture_kernel(h: np.ndarray, h2: np.ndarray, params: KernelParams, blocks: Blocks) -> float:
     """Mixture covariance between two warped vectors.
 
     The sum part adds the kernels of the blocks that are present; the
     product part multiplies them, with absent blocks contributing a
     factor of 1. With only an x-block present the result reduces to the
-    plain Matern covariance for every value of ``params.lam``.
+    plain Matern covariance for every value of ``params.lam``. This is
+    the scalar reference that :func:`mixture_gram` vectorizes.
 
     Parameters
     ----------
@@ -199,8 +188,6 @@ def mixture_kernel(
         Hyperparameters; ``lengthscales`` must match the x-block size.
     blocks : Blocks
         Index arrays selecting each block out of h.
-    indicator : str
-        z-block combination mode, see SurrogateConfig.
 
     Returns
     -------
@@ -219,10 +206,76 @@ def mixture_kernel(
         terms.append(kl)
         prod *= kl
     if blocks.z.size:
-        ki = indicator_kernel(h[blocks.z], h2[blocks.z], indicator)
+        ki = indicator_kernel(h[blocks.z], h2[blocks.z])
         terms.append(ki)
         prod *= ki
     return (1.0 - params.lam) * sum(terms) + params.lam * prod
+
+
+# ---------------------------------------------------------------------------
+# vectorized grams
+
+
+def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances between the rows of a and b.
+
+    Uses the expansion ``|a|^2 + |b|^2 - 2 a.b``, clipped at 0 against
+    rounding, so the cost is one matrix product.
+    """
+    d2 = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :]
+    d2 -= 2.0 * a @ b.T
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _matern_gram_from_d2(d2: np.ndarray, signal_variance: float) -> np.ndarray:
+    d = np.sqrt(d2)
+    return signal_variance * (1.0 + SQRT5 * d + (5.0 / 3.0) * d2) * np.exp(-SQRT5 * d)
+
+
+def _indicator_gram(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+    """Fraction of matching qualitative dimensions, one column at a time."""
+    matches = np.zeros((za.shape[0], zb.shape[0]))
+    for k in range(za.shape[1]):
+        matches += za[:, k : k + 1] == zb[:, k]
+    matches /= za.shape[1]
+    return matches
+
+
+def _compose(grams, lam: float) -> np.ndarray:
+    """``(1 - lam) * sum + lam * product`` of the block Grams that are present.
+
+    Each Gram of the iterable is folded in and released before the next
+    is built; the inputs themselves are never modified.
+    """
+    total = prod = None
+    for g in grams:
+        if total is None:
+            total = np.zeros(g.shape)
+            prod = np.ones(g.shape)
+        total += g
+        prod *= g
+        del g
+    if total is None:
+        raise ValueError("cannot evaluate a kernel over zero dimensions")
+    total *= 1.0 - lam
+    prod *= lam
+    total += prod
+    return total
+
+
+def _matern_gram(xa: np.ndarray, xb: np.ndarray, params: KernelParams) -> np.ndarray:
+    ls = params.lengthscales
+    return _matern_gram_from_d2(sqdist(xa / ls, xb / ls), params.signal_variance)
+
+
+def _block_grams(A: np.ndarray, B: np.ndarray, params: KernelParams, blocks: Blocks):
+    """Yield the Matern, linear, and indicator Grams of the present blocks."""
+    if blocks.x.size:
+        yield _matern_gram(A[:, blocks.x], B[:, blocks.x], params)
+    if blocks.y.size:
+        yield params.v * (A[:, blocks.y] @ B[:, blocks.y].T)
+    if blocks.z.size:
+        yield _indicator_gram(A[:, blocks.z], B[:, blocks.z])
 
 
 def mixture_gram(
@@ -230,7 +283,6 @@ def mixture_gram(
     inputs2: np.ndarray | None,
     params: KernelParams,
     blocks: Blocks,
-    indicator: str = "mean",
 ) -> np.ndarray:
     """Mixture covariance matrix between two sets of warped vectors.
 
@@ -244,94 +296,19 @@ def mixture_gram(
     inputs2 : ndarray, shape (m, D), optional
     params : KernelParams
     blocks : Blocks
-    indicator : str
 
     Returns
     -------
     ndarray, shape (n, m)
+
+    Raises
+    ------
+    ValueError
+        If ``blocks`` selects no dimension at all.
     """
     A = np.atleast_2d(np.asarray(inputs, dtype=float))
     B = A if inputs2 is None else np.atleast_2d(np.asarray(inputs2, dtype=float))
-    return _mixture_gram(
-        A[:, blocks.x],
-        B[:, blocks.x],
-        A[:, blocks.y],
-        B[:, blocks.y],
-        None,
-        params,
-        indicator,
-        za=A[:, blocks.z],
-        zb=B[:, blocks.z],
-    )
-
-
-# ---------------------------------------------------------------------------
-# vectorized grams
-
-
-def _matern_gram_from_d2(d2: np.ndarray, signal_variance: float) -> np.ndarray:
-    d = np.sqrt(np.maximum(d2, 0.0))
-    return signal_variance * (1.0 + SQRT5 * d + (5.0 / 3.0) * d2) * np.exp(-SQRT5 * d)
-
-
-def _cross_sqdist(a: np.ndarray, b: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
-    """Pairwise squared lengthscale-weighted distances between row sets."""
-    sa = a / lengthscales
-    sb = b / lengthscales
-    d2 = (
-        np.sum(sa**2, axis=1)[:, None]
-        + np.sum(sb**2, axis=1)[None, :]
-        - 2.0 * sa @ sb.T
-    )
-    return np.maximum(d2, 0.0)
-
-
-def _indicator_gram(za: np.ndarray, zb: np.ndarray, mode: str) -> np.ndarray:
-    if za.shape[1] == 0:
-        return np.ones((za.shape[0], zb.shape[0]))
-    eq = za[:, None, :] == zb[None, :, :]
-    if mode == "strict":
-        return np.all(eq, axis=2).astype(float)
-    return np.mean(eq, axis=2)
-
-
-def _mixture_gram(
-    xa: np.ndarray,
-    xb: np.ndarray,
-    lin_a: np.ndarray,
-    lin_b: np.ndarray,
-    iz: np.ndarray | None,
-    params: KernelParams,
-    indicator: str,
-    za: np.ndarray | None = None,
-    zb: np.ndarray | None = None,
-) -> np.ndarray:
-    """Cross Gram matrix; iz may carry a precomputed indicator gram."""
-    n, m = xa.shape[0], xb.shape[0]
-    total = np.zeros((n, m))
-    prod = np.ones((n, m))
-    present = False
-    if xa.shape[1]:
-        km = _matern_gram_from_d2(
-            _cross_sqdist(xa, xb, params.lengthscales), params.signal_variance
-        )
-        total += km
-        prod *= km
-        present = True
-    if lin_a.shape[1]:
-        kl = params.v * (lin_a @ lin_b.T)
-        total += kl
-        prod *= kl
-        present = True
-    if iz is None and za is not None and za.shape[1]:
-        iz = _indicator_gram(za, zb, indicator)
-    if iz is not None:
-        total += iz
-        prod *= iz
-        present = True
-    if not present:
-        raise ValueError("cannot evaluate a kernel over zero dimensions")
-    return (1.0 - params.lam) * total + params.lam * prod
+    return _compose(_block_grams(A, B, params, blocks), params.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -356,44 +333,36 @@ class GpModel:
     target_mean: float
     target_std: float
     jitter: float
-    indicator: str
-    linear_on_raw: bool
-    _linear_features: np.ndarray
     _chol: np.ndarray
     _alpha: np.ndarray
-    _linear_map: tuple | None
 
     @property
     def n(self) -> int:
         return self.inputs.shape[0]
 
-    def _linear_block(self, x: np.ndarray) -> np.ndarray:
-        """Features fed to the linear kernel for query rows x."""
-        cols = x[:, self.blocks.y]
-        if self.linear_on_raw and self._linear_map is not None:
-            los, spans = self._linear_map
-            return los + cols * spans
-        return cols
 
+def _jittered_cholesky(m: np.ndarray, first: float, retries: int) -> tuple[np.ndarray | None, float]:
+    """Lower Cholesky factor of a symmetric matrix, with jitter if needed.
 
-def _linear_map_for(space: SearchSpace) -> tuple | None:
-    """Affine map from warped y-block coordinates to raw integer values.
-
-    Only linear-scale integers can be mapped with a single affine
-    transform; spaces with log-scale integers fall back to warped
-    features even when linear_on_raw is set.
+    Factors m itself first; on failure retries with ``first``,
+    ``10 * first``, ... added to the diagonal, ``retries`` times in all.
+    Returns the factor and the jitter it took, or None and the last
+    jitter tried. m is left as it came in.
     """
-    y_idx = space.blocks.y
-    if y_idx.size == 0:
-        return None
-    los, spans = [], []
-    for i in y_idx:
-        p = space.params[i]
-        if p.scale != "linear":
-            return None
-        los.append(float(p.lo))
-        spans.append(float(p.hi - p.lo))
-    return np.array(los), np.array(spans)
+    diag = m.diagonal().copy()
+    jitter = 0.0
+    chol = None
+    for k in range(retries + 1):
+        if k:
+            jitter = first if k == 1 else 10.0 * jitter
+            np.fill_diagonal(m, diag + jitter)
+        try:
+            chol = np.linalg.cholesky(m)
+            break
+        except np.linalg.LinAlgError:
+            pass
+    np.fill_diagonal(m, diag)
+    return chol, jitter
 
 
 def _log_marginal_likelihood(gram: np.ndarray, targets: np.ndarray) -> float:
@@ -456,7 +425,7 @@ def gp_fit(
     targets : ndarray, shape (n,)
         Finite objective values.
     space : SearchSpace
-        Provides block structure and the raw-integer map.
+        Provides the dimension and the default block structure.
     config : SurrogateConfig, optional
     blocks : Blocks, optional
         Override for the block partition. Passing ``Blocks.all_real(D)``
@@ -500,26 +469,20 @@ def gp_fit(
     ys = (y - mean) / std
 
     dx = int(blocks.x.size)
-    linear_map = _linear_map_for(space) if (config.linear_on_raw and blocks.y.size) else None
     Xx = X[:, blocks.x]
-    if linear_map is not None:
-        los, spans = linear_map
-        lin = los + X[:, blocks.y] * spans
-    else:
-        lin = X[:, blocks.y]
-    Zt = X[:, blocks.z]
-
     # Per-dimension squared differences are fixed across the search, so the
-    # Matern gram for any lengthscale vector is a cheap weighted sum.
+    # Matern gram for any lengthscale vector is a cheap weighted sum. The
+    # linear (v = 1) and indicator grams do not depend on the search at all.
     diff2 = (Xx[:, None, :] - Xx[None, :, :]) ** 2 if dx else None
-    lin_gram = lin @ lin.T if lin.shape[1] else None
-    ind_gram = _indicator_gram(Zt, Zt, config.indicator) if Zt.shape[1] else None
-    has_block = (dx > 0) or lin_gram is not None or ind_gram is not None
-    if not has_block:
-        raise ValueError("cannot fit a surrogate over zero dimensions")
-    eye = np.eye(n)
+    fixed = []
+    if blocks.y.size:
+        Y = X[:, blocks.y]
+        fixed.append(Y @ Y.T)
+    if blocks.z.size:
+        fixed.append(_indicator_gram(X[:, blocks.z], X[:, blocks.z]))
+    diag = np.diag_indices(n)
 
-    lam_relevant = (lin_gram is not None) or (ind_gram is not None)
+    lam_relevant = bool(fixed)
     lam_default = 0.5 if lam_relevant else 0.0
 
     evals = 0
@@ -529,21 +492,13 @@ def gp_fit(
         if evals >= config.max_fit_evals:
             return -np.inf
         evals += 1
-        total = np.zeros((n, n))
-        prod = np.ones((n, n))
+        grams = fixed
         if dx:
             ls = np.exp(log_ls)
             d2 = np.tensordot(diff2, 1.0 / ls**2, axes=([2], [0]))
-            km = _matern_gram_from_d2(d2, math.exp(log_sv))
-            total += km
-            prod *= km
-        if lin_gram is not None:
-            total += lin_gram
-            prod *= lin_gram
-        if ind_gram is not None:
-            total += ind_gram
-            prod *= ind_gram
-        gram = (1.0 - lam) * total + lam * prod + math.exp(log_nv) * eye
+            grams = [_matern_gram_from_d2(d2, math.exp(log_sv)), *fixed]
+        gram = _compose(grams, lam)
+        gram[diag] += math.exp(log_nv)
         return _log_marginal_likelihood(gram, ys)
 
     lb = (math.log(config.lengthscale_bounds[0]), math.log(config.lengthscale_bounds[1]))
@@ -622,24 +577,11 @@ def gp_fit(
 
     # Final factorization at the selected hyperparameters, escalating
     # jitter only if the noise floor alone is not enough.
-    gram = _mixture_gram(
-        Xx, Xx, lin, lin, ind_gram, params, config.indicator
-    ) + params.noise_variance * eye
-    jitter = 0.0
-    chol = None
-    trial = 1e-8
-    while True:
-        try:
-            chol = np.linalg.cholesky(gram + jitter * eye)
-            break
-        except np.linalg.LinAlgError:
-            if trial > 1e-2:
-                raise NumericalError(
-                    "kernel matrix is not positive definite even with jitter 1e-2"
-                ) from None
-            jitter = trial
-            trial *= 10.0
-
+    gram = _compose([_matern_gram(Xx, Xx, params), *fixed] if dx else fixed, params.lam)
+    gram[diag] += params.noise_variance
+    chol, jitter = _jittered_cholesky(gram, 1e-8, 7)
+    if chol is None:
+        raise NumericalError("kernel matrix is not positive definite even with jitter 1e-2")
     alpha = cho_solve((chol, True), ys, check_finite=False)
     return GpModel(
         inputs=X,
@@ -650,12 +592,8 @@ def gp_fit(
         target_mean=mean,
         target_std=std,
         jitter=jitter,
-        indicator=config.indicator,
-        linear_on_raw=linear_map is not None,
-        _linear_features=lin,
         _chol=chol,
         _alpha=alpha,
-        _linear_map=linear_map,
     )
 
 
@@ -663,8 +601,7 @@ def gp_fit(
 # posterior evaluation
 
 
-def _raw_posterior(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized latent posterior mean and symmetrized covariance."""
+def _check_queries(model: GpModel, queries: np.ndarray) -> np.ndarray:
     Q = np.atleast_2d(np.asarray(queries, dtype=float))
     if Q.shape[1] != model.inputs.shape[1]:
         raise ValueError(
@@ -672,32 +609,17 @@ def _raw_posterior(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.
         )
     if not np.all(np.isfinite(Q)):
         raise ValueError("query points must be finite")
-    bl = model.blocks
-    ks = _mixture_gram(
-        model.inputs[:, bl.x],
-        Q[:, bl.x],
-        model._linear_features,
-        model._linear_block(Q),
-        None,
-        model.params,
-        model.indicator,
-        za=model.inputs[:, bl.z],
-        zb=Q[:, bl.z],
-    )
-    kss = _mixture_gram(
-        Q[:, bl.x],
-        Q[:, bl.x],
-        model._linear_block(Q),
-        model._linear_block(Q),
-        None,
-        model.params,
-        model.indicator,
-        za=Q[:, bl.z],
-        zb=Q[:, bl.z],
-    )
+    return Q
+
+
+def _raw_posterior(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized latent posterior mean and symmetrized covariance."""
+    Q = _check_queries(model, queries)
+    ks = mixture_gram(model.inputs, Q, model.params, model.blocks)
     mean = ks.T @ model._alpha
     w = solve_triangular(model._chol, ks, lower=True, check_finite=False)
-    cov = kss - w.T @ w
+    cov = mixture_gram(Q, None, model.params, model.blocks)
+    cov -= w.T @ w
     cov = 0.5 * (cov + cov.T)
     return mean, cov
 
@@ -727,19 +649,7 @@ def gp_posterior(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def gp_mean(model: GpModel, queries: np.ndarray) -> np.ndarray:
     """Posterior mean only, skipping all covariance work."""
-    Q = np.atleast_2d(np.asarray(queries, dtype=float))
-    bl = model.blocks
-    ks = _mixture_gram(
-        model.inputs[:, bl.x],
-        Q[:, bl.x],
-        model._linear_features,
-        model._linear_block(Q),
-        None,
-        model.params,
-        model.indicator,
-        za=model.inputs[:, bl.z],
-        zb=Q[:, bl.z],
-    )
+    ks = mixture_gram(model.inputs, _check_queries(model, queries), model.params, model.blocks)
     return model.target_mean + model.target_std * (ks.T @ model._alpha)
 
 
@@ -767,8 +677,9 @@ def gp_sample(
 
     Notes
     -----
-    The covariance root is taken by Cholesky with escalating jitter and
-    falls back to an eigendecomposition with clipped eigenvalues, so
+    The covariance root is taken by Cholesky, adding diagonal jitter
+    from 1e-10 by factors of 10 up to 1e-5 if needed, and falls back to
+    an eigendecomposition with clipped eigenvalues, so
     rank-deficient covariances (duplicate or fully explained points) are
     handled without error.
     """
@@ -776,16 +687,7 @@ def gp_sample(
         raise ValueError("count must be at least 1")
     mean, cov = _raw_posterior(model, queries)
     q = mean.shape[0]
-    root = None
-    jitter = 0.0
-    trial = 1e-10
-    while trial <= 1e-4:
-        try:
-            root = np.linalg.cholesky(cov + jitter * np.eye(q))
-            break
-        except np.linalg.LinAlgError:
-            jitter = trial
-            trial *= 10.0
+    root, _ = _jittered_cholesky(cov, 1e-10, 6)
     if root is None:
         vals, vecs = np.linalg.eigh(cov)
         root = vecs * np.sqrt(np.clip(vals, 0.0, None))

@@ -175,6 +175,25 @@ def test_serve_subprocess_session(tmp_path):
     assert out.stdout.startswith("OK ")
 
 
+def test_serve_keeps_suggesting_after_failed_evaluations():
+    out = io.StringIO()
+
+    def client():
+        yield hello_line({"batch_size": 4, "seed": 0})
+        for _ in range(8):  # 2 init rounds, then 6 model rounds
+            yield '{"kind": "suggest_request"}'
+            reply = json.loads(out.getvalue().splitlines()[-1])
+            assert reply["kind"] == "suggestions", reply
+            pts = reply["points"]
+            values = [float("nan")] + [p["x"] + p["n"] for p in pts[1:]]
+            yield json.dumps({"kind": "observe", "points": pts, "values": values})
+
+    with pytest.warns(RuntimeWarning):
+        assert serve(client(), out) == 0
+    kinds = [json.loads(line)["kind"] for line in out.getvalue().splitlines()]
+    assert kinds == ["ack"] + ["suggestions", "ack"] * 8
+
+
 # --- bench subcommand -------------------------------------------------------
 
 
@@ -250,19 +269,42 @@ def test_run_subcommand_imputes_failures(tmp_path, capsys):
     space_path.write_text(json.dumps(SPACE_DOC))
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"batch_size": 2, "max_iterations": 1}))
-    code = main(
-        [
-            "run",
-            "--space",
-            str(space_path),
-            "--config",
-            str(cfg_path),
-            "--cmd",
-            "false",
-        ]
-    )
+    with pytest.warns(RuntimeWarning):
+        code = main(
+            [
+                "run",
+                "--space",
+                str(space_path),
+                "--config",
+                str(cfg_path),
+                "--cmd",
+                "false",
+            ]
+        )
     # every evaluation failed: exit 1 and a non-finite best
     assert code == 1
+
+
+def test_run_subcommand_survives_a_partly_failing_command(tmp_path, capsys):
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(SPACE_DOC))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"batch_size": 2, "max_iterations": 6, "seed": 0}))
+    out_path = tmp_path / "result.json"
+    # the command crashes on half of the space
+    scorer = (
+        f"{sys.executable} -c \"import json,sys; p=json.load(sys.stdin); "
+        f"sys.exit(1) if p['m'] == 'b' else print(p['x'] + p['n'])\""
+    )
+    with pytest.warns(RuntimeWarning):
+        code = main(
+            ["run", "--space", str(space_path), "--config", str(cfg_path), "--cmd", scorer, "--out", str(out_path)]
+        )
+    assert code == 0, capsys.readouterr().err
+    result = json.loads(out_path.read_text())
+    assert result["evaluations"] == 12
+    assert result["failed_evaluations"] > 0
+    assert result["best_point"]["m"] == "a"
 
 
 # --- argument handling ---------------------------------------------------------

@@ -170,7 +170,8 @@ def test_non_finite_values_are_imputed_and_flagged():
     space = small_space()
     opt = Optimizer(space, OptimizerConfig(batch_size=4, seed=3))
     pts = opt.suggest()
-    opt.observe(pts, [float("nan"), 1.0, float("inf"), 2.0])
+    with pytest.warns(RuntimeWarning, match="2 of 4"):
+        opt.observe(pts, [float("nan"), 1.0, float("inf"), 2.0])
     hist = opt.history
     assert hist[0].value == np.inf and hist[0].warned
     assert hist[2].value == np.inf and hist[2].warned
@@ -178,6 +179,39 @@ def test_non_finite_values_are_imputed_and_flagged():
     assert opt.diagnostics["imputed_values"] == 2
     # a usable best still exists
     assert opt.best()[1] == 1.0
+
+
+def test_failed_evaluations_survive_the_model_phase():
+    space = small_space()
+    opt = Optimizer(space, OptimizerConfig(batch_size=4, seed=3))
+    rounds = 9  # 3 init batches, then 6 model batches
+    with pytest.warns(RuntimeWarning) as caught:
+        for _ in range(rounds):
+            pts = opt.suggest()
+            for p in pts:
+                space.validate(p)
+            opt.observe(pts, [float("nan")] + [bowl(p) for p in pts[1:]])
+    assert len(caught) == rounds  # one warning per batch with a failure
+    d = opt.diagnostics
+    assert d["gp_fits"] >= 3 and d["arp_fits"] >= 1
+    assert d["imputed_values"] == rounds
+    assert all(ob.value == np.inf for ob in opt.history[::4])
+    assert np.isfinite(opt.best()[1])
+
+
+@pytest.mark.parametrize("finite_per_run", [0, 1])
+def test_too_few_finite_values_skip_the_fit(finite_per_run):
+    space = small_space()
+    opt = Optimizer(space, OptimizerConfig(batch_size=4, seed=3))
+    with pytest.warns(RuntimeWarning):
+        for k in range(6):
+            pts = opt.suggest()
+            values = [float("nan")] * len(pts)
+            if k == 0 and finite_per_run:
+                values[0] = 1.0
+            opt.observe(pts, values)
+    assert opt.diagnostics["gp_fits"] == 0
+    assert len(opt.history) == 24
 
 
 def test_flags_disable_components():

@@ -18,6 +18,7 @@ from mixbo.surrogate import (
     indicator_kernel,
     linear_kernel,
     matern52,
+    mixture_gram,
     mixture_kernel,
 )
 
@@ -138,6 +139,39 @@ def test_missing_block_drops_from_sum_and_product():
     ki = 1.0
     p = KernelParams(lengthscales=np.array([]), signal_variance=1.0, lam=0.25)
     assert mixture_kernel(h1, h2, p, bl) == pytest.approx(0.75 * (kl + ki) + 0.25 * kl * ki, abs=0.0)
+
+
+BLOCK_PARAMS = {
+    "x": [ParamSpec("a", "real", lo=0.0, hi=1.0), ParamSpec("b", "real", lo=-2.0, hi=3.0)],
+    "y": [ParamSpec("n", "integer", lo=0, hi=6), ParamSpec("k", "integer", lo=-3, hi=9)],
+    "z": [ParamSpec("c", "categorical", categories=("p", "q", "r")), ParamSpec("f", "boolean")],
+}
+
+
+@pytest.mark.parametrize("present", ["x", "y", "z", "xy", "yz", "xz", "xyz"])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+def test_gram_matches_scalar_kernel_for_every_block_combination(present, lam):
+    space = SearchSpace([p for key in present for p in BLOCK_PARAMS[key]])
+    bl = space.blocks
+    rng = np.random.default_rng(17)
+    H = sample_inputs(rng, space, 9)
+    Q = sample_inputs(rng, space, 6)
+    p = KernelParams(lengthscales=rng.uniform(0.1, 1.5, size=bl.x.size), signal_variance=1.7, lam=lam)
+    square = np.array([[mixture_kernel(a, b, p, bl) for b in H] for a in H])
+    cross = np.array([[mixture_kernel(a, b, p, bl) for b in Q] for a in H])
+    np.testing.assert_allclose(mixture_gram(H, None, p, bl), square, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(mixture_gram(H, Q, p, bl), cross, rtol=0.0, atol=1e-12)
+
+
+def test_gram_over_zero_dimensions_is_an_error():
+    empty = np.array([], dtype=np.intp)
+    none = Blocks(x=empty, y=empty, z=empty)
+    p = KernelParams(lengthscales=np.ones(0))
+    with pytest.raises(ValueError, match="zero dimensions"):
+        mixture_gram(np.zeros((3, 2)), None, p, none)
+    space = SearchSpace([ParamSpec("a", "real", lo=0.0, hi=1.0), ParamSpec("b", "real", lo=0.0, hi=1.0)])
+    with pytest.raises(ValueError, match="zero dimensions"):
+        gp_fit(np.random.default_rng(0).random((4, 2)), np.arange(4.0), space, blocks=none)
 
 
 def test_random_grams_are_positive_semidefinite():
@@ -268,6 +302,14 @@ def test_gp_mean_agrees_with_posterior_mean():
     Q = sample_inputs(rng, space, 7)
     mu, _ = gp_posterior(model, Q)
     np.testing.assert_allclose(gp_mean(model, Q), mu, atol=1e-10, rtol=0.0)
+    # both reject what the model cannot evaluate
+    wide = np.hstack([Q, np.zeros((7, 1))])
+    holed = Q.copy()
+    holed[2, 0] = np.nan
+    for bad in (wide, holed):
+        for fn in (gp_mean, gp_posterior):
+            with pytest.raises(ValueError):
+                fn(model, bad)
 
 
 def test_gp_sample_shapes_and_determinism():
