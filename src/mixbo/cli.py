@@ -80,8 +80,9 @@ def serve(
 
     ``space_doc`` and ``config_doc`` act as defaults for ``hello``
     messages that omit them. Blank lines are ignored. Malformed or
-    out-of-turn messages produce ``error`` responses and never stop the
-    loop, so a misbehaving driver cannot wedge the server.
+    out-of-turn messages, and any other exception a request raises,
+    produce ``error`` responses and never stop the loop, so a
+    misbehaving driver cannot wedge the server.
     """
     opt: Optimizer | None = None
     for raw in instream:
@@ -137,7 +138,9 @@ def serve(
                     "error",
                     message=f"unknown kind {kind!r}; expected one of {list(MESSAGE_KINDS)}",
                 )
-        except (ProtocolError, ConfigError, ValidationError, ValueError, TypeError, RuntimeError) as exc:
+        except Exception as exc:
+            # any failure of one request, a MemoryError from a large
+            # suggest included, answers that request and keeps the session
             write_message(outstream, "error", message=f"{type(exc).__name__}: {exc}")
     return 0
 

@@ -20,6 +20,16 @@ Targets are standardized internally before fitting. Hyperparameters are
 chosen by maximizing the log marginal likelihood with a deterministic
 multi-start coordinate search under a hard budget of likelihood
 evaluations, so fits are reproducible and their cost is bounded.
+
+Large matrices are built and factored in place. A Gram is filled into
+one preallocated output a row tile at a time, each tile holding about
+``_TILE_ELEMENTS`` entries (8 MB of float64), so every temporary is
+tile-sized, and the Gram has the bits a whole-matrix assembly gives.
+The posterior covariance subtracts the explained part and is
+symmetrized tile by tile in the same buffer, and the Cholesky factor
+overwrites it through LAPACK ``potrf``, with the jitter escalation of
+a copying factorization. A Thompson draw over q candidates therefore
+holds one q x q matrix plus a few tiles.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from .space import Blocks, SearchSpace
 
@@ -41,6 +52,14 @@ STD_FLOOR = 1e-8
 DEFAULT_LENGTHSCALE = 0.5
 DEFAULT_SIGNAL_VARIANCE = 1.0
 DEFAULT_NOISE_VARIANCE = 1e-3
+
+#: Entries of one work tile (8 MB of float64); large matrices are built,
+#: updated and factored in place one tile at a time.
+_TILE_ELEMENTS = 1 << 20
+
+#: Row tiles start at multiples of this, a multiple of the row unroll of
+#: the GEMM kernels of common BLAS builds.
+_ROW_ALIGN = 192
 
 
 class NumericalError(RuntimeError):
@@ -227,40 +246,96 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0, out=d2)
 
 
+def _row_tiles(n: int, width: int):
+    """Yield row slices of an n x width matrix, each about one tile.
+
+    A product's rows come out of BLAS with the same bits in a row tile
+    as in the whole matrix only if the tile's rows meet the same GEMM
+    micro-kernel: tiles start at multiples of ``_ROW_ALIGN`` rows, and
+    no tile has a single row unless n is 1, because numpy multiplies a
+    one-row matrix by GEMV, which rounds differently from GEMM.
+    """
+    step = max(_ROW_ALIGN, _TILE_ELEMENTS // max(width, 1) // _ROW_ALIGN * _ROW_ALIGN)
+    start = 0
+    while start < n:
+        stop = min(start + step, n)
+        if n - stop == 1:
+            stop = n
+        yield slice(start, stop)
+        start = stop
+
+
+def _square_tiles(n: int) -> list[slice]:
+    """Slices cutting an n x n matrix into square tiles of about one tile each."""
+    side = max(1, math.isqrt(_TILE_ELEMENTS))
+    return [slice(i, min(i + side, n)) for i in range(0, n, side)]
+
+
+def _symmetrize(m: np.ndarray) -> None:
+    """Replace square m by ``(m + m.T) * 0.5`` in place, one tile pair at a time."""
+    tiles = _square_tiles(m.shape[0])
+    for b, rows in enumerate(tiles):
+        for cols in tiles[: b + 1]:
+            s = m[rows, cols] + m[cols, rows].T
+            s *= 0.5
+            m[rows, cols] = s
+            m[cols, rows] = s.T
+
+
 def _matern_gram_from_d2(d2: np.ndarray, signal_variance: float) -> np.ndarray:
+    """Matern 5/2 Gram from squared scaled distances; d2 is overwritten.
+
+    Evaluates ``s * (1 + sqrt(5) d + 5/3 d2) * exp(-sqrt(5) d)`` in place,
+    with the same operations in the same order as the expression.
+    """
     d = np.sqrt(d2)
-    return signal_variance * (1.0 + SQRT5 * d + (5.0 / 3.0) * d2) * np.exp(-SQRT5 * d)
+    g = d * SQRT5
+    g += 1.0
+    d2 *= 5.0 / 3.0
+    g += d2
+    g *= signal_variance
+    d *= -SQRT5
+    g *= np.exp(d, out=d)
+    return g
 
 
 def _indicator_gram(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
-    """Fraction of matching qualitative dimensions, one column at a time."""
-    matches = np.zeros((za.shape[0], zb.shape[0]))
-    for k in range(za.shape[1]):
-        matches += za[:, k : k + 1] == zb[:, k]
-    matches /= za.shape[1]
-    return matches
+    """Fraction of matching qualitative dimensions, one column at a time.
+
+    Matches are counted exactly in the smallest unsigned integer type
+    that holds the dimension count, through one reused boolean buffer.
+    """
+    dz = za.shape[1]
+    counts = np.zeros((za.shape[0], zb.shape[0]), dtype=np.min_scalar_type(dz))
+    eq = np.empty(counts.shape, dtype=bool)
+    for k in range(dz):
+        counts += np.equal(za[:, k : k + 1], zb[:, k], out=eq)
+    return np.divide(counts, dz, dtype=float)
 
 
-def _compose(grams, lam: float) -> np.ndarray:
+def _compose(grams, lam: float, out: np.ndarray) -> np.ndarray:
     """``(1 - lam) * sum + lam * product`` of the block Grams that are present.
 
-    Each Gram of the iterable is folded in and released before the next
-    is built; the inputs themselves are never modified.
+    The result is written to ``out``. Sum and product start from the
+    first Gram, as ``0 + g`` and ``1 * g`` are exact. Each Gram of the
+    iterable is folded in and released before the next is built; the
+    inputs themselves are never modified.
     """
-    total = prod = None
+    prod = None
     for g in grams:
-        if total is None:
-            total = np.zeros(g.shape)
-            prod = np.ones(g.shape)
-        total += g
-        prod *= g
+        if prod is None:
+            out[...] = g
+            prod = g.copy()
+        else:
+            out += g
+            prod *= g
         del g
-    if total is None:
+    if prod is None:
         raise ValueError("cannot evaluate a kernel over zero dimensions")
-    total *= 1.0 - lam
+    out *= 1.0 - lam
     prod *= lam
-    total += prod
-    return total
+    out += prod
+    return out
 
 
 def _matern_gram(xa: np.ndarray, xb: np.ndarray, params: KernelParams) -> np.ndarray:
@@ -268,12 +343,18 @@ def _matern_gram(xa: np.ndarray, xb: np.ndarray, params: KernelParams) -> np.nda
     return _matern_gram_from_d2(sqdist(xa / ls, xb / ls), params.signal_variance)
 
 
+def _linear_gram(ya: np.ndarray, yb: np.ndarray, v: float) -> np.ndarray:
+    g = ya @ yb.T
+    g *= v
+    return g
+
+
 def _block_grams(A: np.ndarray, B: np.ndarray, params: KernelParams, blocks: Blocks):
     """Yield the Matern, linear, and indicator Grams of the present blocks."""
     if blocks.x.size:
         yield _matern_gram(A[:, blocks.x], B[:, blocks.x], params)
     if blocks.y.size:
-        yield params.v * (A[:, blocks.y] @ B[:, blocks.y].T)
+        yield _linear_gram(A[:, blocks.y], B[:, blocks.y], params.v)
     if blocks.z.size:
         yield _indicator_gram(A[:, blocks.z], B[:, blocks.z])
 
@@ -287,7 +368,8 @@ def mixture_gram(
     """Mixture covariance matrix between two sets of warped vectors.
 
     Equivalent to evaluating :func:`mixture_kernel` on every pair, but
-    assembled blockwise in vector form. Pass ``inputs2=None`` for the
+    assembled blockwise in vector form, one row tile of the output at a
+    time, so temporaries stay tile-sized. Pass ``inputs2=None`` for the
     square Gram of one set.
 
     Parameters
@@ -308,7 +390,10 @@ def mixture_gram(
     """
     A = np.atleast_2d(np.asarray(inputs, dtype=float))
     B = A if inputs2 is None else np.atleast_2d(np.asarray(inputs2, dtype=float))
-    return _compose(_block_grams(A, B, params, blocks), params.lam)
+    out = np.empty((A.shape[0], B.shape[0]))
+    for rows in _row_tiles(A.shape[0], B.shape[0]):
+        _compose(_block_grams(A[rows], B, params, blocks), params.lam, out[rows])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -341,28 +426,56 @@ class GpModel:
         return self.inputs.shape[0]
 
 
-def _jittered_cholesky(m: np.ndarray, first: float, retries: int) -> tuple[np.ndarray | None, float]:
-    """Lower Cholesky factor of a symmetric matrix, with jitter if needed.
+def _copy_triangle(m: np.ndarray, down: bool) -> None:
+    """Copy one strict triangle of square m onto the other, tile by tile.
 
-    Factors m itself first; on failure retries with ``first``,
-    ``10 * first``, ... added to the diagonal, ``retries`` times in all.
-    Returns the factor and the jitter it took, or None and the last
-    jitter tried. m is left as it came in.
+    ``down=False`` mirrors the lower triangle onto the upper. ``down=True``
+    moves the upper triangle onto the lower and zeros the upper, which
+    turns an upper factor into its transpose in place.
+    """
+    tiles = _square_tiles(m.shape[0])
+    for b, rows in enumerate(tiles):
+        for cols in tiles[:b]:
+            if down:
+                m[rows, cols] = m[cols, rows].T
+                m[cols, rows] = 0.0
+            else:
+                m[cols, rows] = m[rows, cols].T
+        block = m[rows, rows]
+        upper = np.tri(block.shape[0], k=-1, dtype=bool).T
+        np.copyto(block, block.T, where=upper.T if down else upper)
+        if down:
+            block[upper] = 0.0
+
+
+def _cholesky_in_place(m: np.ndarray, first: float, retries: int) -> tuple[np.ndarray | None, float]:
+    """Lower Cholesky factor of a symmetric matrix, computed in m, with jitter if needed.
+
+    Only the lower triangle of the C-contiguous float64 matrix m is read.
+    It is mirrored onto the upper, so that LAPACK ``potrf``, factoring
+    the Fortran-ordered view ``m.T``, reads the entries the lower
+    triangle holds. The first attempt factors m itself; on failure m is
+    restored from its untouched strict lower triangle and the attempt is
+    retried with ``first``, ``10 * first``, ... added to the diagonal,
+    ``retries`` times in all. On success m holds the factor in its lower
+    triangle, zeros above, and is returned with the jitter it took. When
+    every attempt fails, returns None and the last jitter tried, and m
+    is left as it came in, its upper triangle mirroring the lower.
     """
     diag = m.diagonal().copy()
     jitter = 0.0
-    chol = None
     for k in range(retries + 1):
+        _copy_triangle(m, down=False)
         if k:
             jitter = first if k == 1 else 10.0 * jitter
             np.fill_diagonal(m, diag + jitter)
-        try:
-            chol = np.linalg.cholesky(m)
-            break
-        except np.linalg.LinAlgError:
-            pass
-    np.fill_diagonal(m, diag)
-    return chol, jitter
+        _, info = dpotrf(m.T, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            _copy_triangle(m, down=True)
+            return m, jitter
+        np.fill_diagonal(m, diag)
+    _copy_triangle(m, down=False)
+    return None, jitter
 
 
 def _log_marginal_likelihood(gram: np.ndarray, targets: np.ndarray) -> float:
@@ -481,6 +594,7 @@ def gp_fit(
     if blocks.z.size:
         fixed.append(_indicator_gram(X[:, blocks.z], X[:, blocks.z]))
     diag = np.diag_indices(n)
+    work = np.empty((n, n))
 
     lam_relevant = bool(fixed)
     lam_default = 0.5 if lam_relevant else 0.0
@@ -497,7 +611,7 @@ def gp_fit(
             ls = np.exp(log_ls)
             d2 = np.tensordot(diff2, 1.0 / ls**2, axes=([2], [0]))
             grams = [_matern_gram_from_d2(d2, math.exp(log_sv)), *fixed]
-        gram = _compose(grams, lam)
+        gram = _compose(grams, lam, work)
         gram[diag] += math.exp(log_nv)
         return _log_marginal_likelihood(gram, ys)
 
@@ -577,9 +691,9 @@ def gp_fit(
 
     # Final factorization at the selected hyperparameters, escalating
     # jitter only if the noise floor alone is not enough.
-    gram = _compose([_matern_gram(Xx, Xx, params), *fixed] if dx else fixed, params.lam)
+    gram = _compose([_matern_gram(Xx, Xx, params), *fixed] if dx else fixed, params.lam, work)
     gram[diag] += params.noise_variance
-    chol, jitter = _jittered_cholesky(gram, 1e-8, 7)
+    chol, jitter = _cholesky_in_place(gram, 1e-8, 7)
     if chol is None:
         raise NumericalError("kernel matrix is not positive definite even with jitter 1e-2")
     alpha = cho_solve((chol, True), ys, check_finite=False)
@@ -613,14 +727,21 @@ def _check_queries(model: GpModel, queries: np.ndarray) -> np.ndarray:
 
 
 def _raw_posterior(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized latent posterior mean and symmetrized covariance."""
+    """Standardized latent posterior mean and exactly symmetric covariance.
+
+    The prior covariance is built in its output buffer, and the explained
+    part ``w.T @ w`` is subtracted from it one row tile at a time.
+    """
     Q = _check_queries(model, queries)
     ks = mixture_gram(model.inputs, Q, model.params, model.blocks)
     mean = ks.T @ model._alpha
     w = solve_triangular(model._chol, ks, lower=True, check_finite=False)
+    del ks
+    q = Q.shape[0]
     cov = mixture_gram(Q, None, model.params, model.blocks)
-    cov -= w.T @ w
-    cov = 0.5 * (cov + cov.T)
+    for rows in _row_tiles(q, q):
+        cov[rows] -= w[:, rows].T @ w
+    _symmetrize(cov)
     return mean, cov
 
 
@@ -643,8 +764,9 @@ def gp_posterior(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.nd
     mean, cov = _raw_posterior(model, queries)
     vals, vecs = np.linalg.eigh(cov)
     cov = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-    cov = 0.5 * (cov + cov.T)
-    return model.target_mean + model.target_std * mean, (model.target_std**2) * cov
+    _symmetrize(cov)
+    cov *= model.target_std**2
+    return model.target_mean + model.target_std * mean, cov
 
 
 def gp_mean(model: GpModel, queries: np.ndarray) -> np.ndarray:
@@ -677,17 +799,22 @@ def gp_sample(
 
     Notes
     -----
-    The covariance root is taken by Cholesky, adding diagonal jitter
-    from 1e-10 by factors of 10 up to 1e-5 if needed, and falls back to
-    an eigendecomposition with clipped eigenvalues, so
-    rank-deficient covariances (duplicate or fully explained points) are
-    handled without error.
+    The posterior covariance is assembled in one q x q buffer, a row
+    tile at a time, and the covariance root is its Cholesky factor,
+    computed in place by LAPACK ``potrf``. Jitter is added to the
+    diagonal only if the factorization fails, from 1e-10 by factors of
+    10 up to 1e-5, and the root falls back to an eigendecomposition with
+    clipped eigenvalues, so rank-deficient covariances (duplicate or
+    fully explained points) are handled without error. Memory is one
+    q x q float64 matrix plus tiles of about 8 MB each, and
+    ``O(n q)`` for the cross covariances with the n training points;
+    only the eigendecomposition fallback allocates more.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     mean, cov = _raw_posterior(model, queries)
     q = mean.shape[0]
-    root, _ = _jittered_cholesky(cov, 1e-10, 6)
+    root, _ = _cholesky_in_place(cov, 1e-10, 6)
     if root is None:
         vals, vecs = np.linalg.eigh(cov)
         root = vecs * np.sqrt(np.clip(vals, 0.0, None))

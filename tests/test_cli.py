@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from mixbo.cli import main, parse_message, serve, write_message
+from mixbo.optimizer import Optimizer
 from mixbo.space import ParamSpec, SearchSpace
 
 SPACE_DOC = {
@@ -192,6 +193,25 @@ def test_serve_keeps_suggesting_after_failed_evaluations():
         assert serve(client(), out) == 0
     kinds = [json.loads(line)["kind"] for line in out.getvalue().splitlines()]
     assert kinds == ["ack"] + ["suggestions", "ack"] * 8
+
+
+def test_serve_recovers_after_any_exception_in_suggest(monkeypatch):
+    real_suggest = Optimizer.suggest
+    calls = []
+
+    def suggest_failing_once(self):
+        calls.append(1)
+        if len(calls) == 1:
+            raise MemoryError("cannot allocate the candidate covariance")
+        return real_suggest(self)
+
+    monkeypatch.setattr(Optimizer, "suggest", suggest_failing_once)
+    req = '{"kind": "suggest_request"}'
+    code, replies = feed([hello_line({"batch_size": 2}), req, req])
+    assert code == 0
+    assert [r["kind"] for r in replies] == ["ack", "error", "suggestions"]
+    assert replies[1]["message"].startswith("MemoryError")
+    assert len(replies[2]["points"]) == 2
 
 
 # --- bench subcommand -------------------------------------------------------

@@ -4,9 +4,12 @@ Scalar kernel reference values were computed independently from the
 closed-form expression at 40 decimal digits and are frozen here.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mixbo import surrogate
 from mixbo.space import Blocks, ParamSpec, SearchSpace
 from mixbo.surrogate import (
     KernelParams,
@@ -150,7 +153,7 @@ BLOCK_PARAMS = {
 
 @pytest.mark.parametrize("present", ["x", "y", "z", "xy", "yz", "xz", "xyz"])
 @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
-def test_gram_matches_scalar_kernel_for_every_block_combination(present, lam):
+def test_gram_matches_scalar_kernel_for_every_block_combination(present, lam, monkeypatch):
     space = SearchSpace([p for key in present for p in BLOCK_PARAMS[key]])
     bl = space.blocks
     rng = np.random.default_rng(17)
@@ -161,6 +164,29 @@ def test_gram_matches_scalar_kernel_for_every_block_combination(present, lam):
     cross = np.array([[mixture_kernel(a, b, p, bl) for b in Q] for a in H])
     np.testing.assert_allclose(mixture_gram(H, None, p, bl), square, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(mixture_gram(H, Q, p, bl), cross, rtol=0.0, atol=1e-12)
+    # row tiles of 2 to 6 rows, some with a last tile that absorbs a lone row
+    monkeypatch.setattr(surrogate, "_ROW_ALIGN", 2)
+    for tile in (16, 24, 36):
+        monkeypatch.setattr(surrogate, "_TILE_ELEMENTS", tile)
+        np.testing.assert_allclose(mixture_gram(H, None, p, bl), square, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(mixture_gram(H, Q, p, bl), cross, rtol=0.0, atol=1e-12)
+
+
+def test_row_tiles_cover_every_row_without_lone_rows(monkeypatch):
+    monkeypatch.setattr(surrogate, "_ROW_ALIGN", 2)
+    monkeypatch.setattr(surrogate, "_TILE_ELEMENTS", 40)  # 4 rows of width 10
+    cases = {
+        1: [(0, 1)],
+        3: [(0, 3)],
+        4: [(0, 4)],
+        5: [(0, 5)],
+        6: [(0, 4), (4, 6)],
+        8: [(0, 4), (4, 8)],
+        9: [(0, 4), (4, 9)],
+        10: [(0, 4), (4, 8), (8, 10)],
+    }
+    for n, want in cases.items():
+        assert [(t.start, t.stop) for t in surrogate._row_tiles(n, 10)] == want
 
 
 def test_gram_over_zero_dimensions_is_an_error():
@@ -310,6 +336,96 @@ def test_gp_mean_agrees_with_posterior_mean():
         for fn in (gp_mean, gp_posterior):
             with pytest.raises(ValueError):
                 fn(model, bad)
+
+
+@pytest.mark.parametrize("tile", [None, 16])
+def test_raw_posterior_covariance_is_exactly_symmetric(tile, monkeypatch):
+    if tile is not None:
+        monkeypatch.setattr(surrogate, "_ROW_ALIGN", 2)
+        monkeypatch.setattr(surrogate, "_TILE_ELEMENTS", tile)
+    space = mixed_space()
+    rng = np.random.default_rng(13)
+    model = gp_fit(sample_inputs(rng, space, 10), rng.standard_normal(10), space)
+    Q = sample_inputs(rng, space, 23)
+    _, cov = surrogate._raw_posterior(model, Q)
+    assert np.array_equal(cov, cov.T)
+    _, ref = gp_posterior(model, Q)
+    np.testing.assert_allclose(cov * model.target_std**2, ref, rtol=0.0, atol=1e-10)
+
+
+def reference_cholesky(m, first, retries):
+    """The jitter escalation of the Cholesky helper, on np.linalg.cholesky."""
+    jitter = 0.0
+    for k in range(retries + 1):
+        if k:
+            jitter = first if k == 1 else 10.0 * jitter
+        try:
+            return np.linalg.cholesky(m + jitter * np.eye(len(m))), jitter
+        except np.linalg.LinAlgError:
+            pass
+    return None, jitter
+
+
+def check_factor(m, first=1e-10, retries=6):
+    want, want_jitter = reference_cholesky(m, first, retries)
+    work = m.copy()
+    got, jitter = surrogate._cholesky_in_place(work, first, retries)
+    assert got is work and jitter == want_jitter
+    assert got.flags.c_contiguous
+    assert not np.any(np.triu(got, 1))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    return jitter
+
+
+@pytest.mark.parametrize("tile", [None, 16])
+def test_cholesky_in_place_matches_numpy(tile, monkeypatch):
+    if tile is not None:
+        monkeypatch.setattr(surrogate, "_TILE_ELEMENTS", tile)
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((11, 11))
+    spd = a @ a.T + 11.0 * np.eye(11)
+    assert check_factor(spd) == 0.0
+    # only the lower triangle is read
+    assert check_factor(spd + np.triu(rng.standard_normal((11, 11)), 1)) == 0.0
+    # duplicated rows make the Gram singular; both take the same jitter
+    space = mixed_space()
+    H = sample_inputs(rng, space, 6)
+    H = np.vstack([H, H[:5]])
+    p = KernelParams(lengthscales=np.array([0.3, 0.7]), signal_variance=2.0, lam=0.4)
+    assert check_factor(mixture_gram(H, None, p, space.blocks)) > 0.0
+
+
+@pytest.mark.parametrize("tile", [None, 16])
+def test_cholesky_in_place_returns_input_unchanged_on_failure(tile, monkeypatch):
+    if tile is not None:
+        monkeypatch.setattr(surrogate, "_TILE_ELEMENTS", tile)
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((9, 9))
+    indefinite = a + a.T
+    indefinite[np.diag_indices(9)] -= 20.0
+    work = indefinite.copy()
+    got, jitter = surrogate._cholesky_in_place(work, 1e-10, 6)
+    assert got is None and jitter == pytest.approx(1e-5)
+    assert np.array_equal(work, indefinite)
+
+
+def test_gp_sample_holds_about_one_candidate_covariance():
+    # one q x q float64 matrix plus tiles; whole-matrix temporaries would
+    # need about five
+    space = mixed_space()
+    rng = np.random.default_rng(21)
+    X = sample_inputs(rng, space, 40)
+    model = gp_fit(X, rng.standard_normal(40), space)
+    q = 2000
+    Q = sample_inputs(rng, space, q)
+    tracemalloc.start()
+    try:
+        draws = gp_sample(model, Q, np.random.default_rng(0), count=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws.shape == (8, q)
+    assert peak <= 2.5 * q * q * 8
 
 
 def test_gp_sample_shapes_and_determinism():
