@@ -25,11 +25,18 @@ Large matrices are built and factored in place. A Gram is filled into
 one preallocated output a row tile at a time, each tile holding about
 ``_TILE_ELEMENTS`` entries (8 MB of float64), so every temporary is
 tile-sized, and the Gram has the bits a whole-matrix assembly gives.
-The posterior covariance subtracts the explained part and is
-symmetrized tile by tile in the same buffer, and the Cholesky factor
-overwrites it through LAPACK ``potrf``, with the jitter escalation of
-a copying factorization. A Thompson draw over q candidates therefore
-holds one q x q matrix plus a few tiles.
+Within a tile, the matrix products run on the whole tile and the
+elementwise work (the Matern transform, the indicator counts and the
+composition) on pieces of whole rows of about ``_PIECE_ELEMENTS``
+entries (512 KB), which stay in cache. The posterior covariance of a
+Thompson draw exists only as its lower triangle: each row tile of the
+prior Gram is built, and the explained part subtracted, only up to the
+tile's last column on or below the diagonal, which is all that the
+Cholesky factor and the eigendecomposition read. The factor overwrites
+it through LAPACK ``potrf``, with the jitter escalation of a copying
+factorization. A draw over q candidates therefore holds one q x q
+matrix plus a few tiles. A public square Gram is the lower triangle
+mirrored, so it is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -60,6 +67,11 @@ _TILE_ELEMENTS = 1 << 20
 #: Row tiles start at multiples of this, a multiple of the row unroll of
 #: the GEMM kernels of common BLAS builds.
 _ROW_ALIGN = 192
+
+#: Entries of one elementwise piece (512 KB of float64): inside a row
+#: tile, the kernel transforms and the composition run one block of
+#: whole rows of about this size at a time, so their passes stay in cache.
+_PIECE_ELEMENTS = 1 << 16
 
 
 class NumericalError(RuntimeError):
@@ -271,15 +283,26 @@ def _square_tiles(n: int) -> list[slice]:
     return [slice(i, min(i + side, n)) for i in range(0, n, side)]
 
 
-def _symmetrize(m: np.ndarray) -> None:
-    """Replace square m by ``(m + m.T) * 0.5`` in place, one tile pair at a time."""
+def _copy_triangle(m: np.ndarray, down: bool) -> None:
+    """Copy one strict triangle of square m onto the other, tile by tile.
+
+    ``down=False`` mirrors the lower triangle onto the upper. ``down=True``
+    moves the upper triangle onto the lower and zeros the upper, which
+    turns an upper factor into its transpose in place.
+    """
     tiles = _square_tiles(m.shape[0])
     for b, rows in enumerate(tiles):
-        for cols in tiles[: b + 1]:
-            s = m[rows, cols] + m[cols, rows].T
-            s *= 0.5
-            m[rows, cols] = s
-            m[cols, rows] = s.T
+        for cols in tiles[:b]:
+            if down:
+                m[rows, cols] = m[cols, rows].T
+                m[cols, rows] = 0.0
+            else:
+                m[cols, rows] = m[rows, cols].T
+        block = m[rows, rows]
+        upper = np.tri(block.shape[0], k=-1, dtype=bool).T
+        np.copyto(block, block.T, where=upper.T if down else upper)
+        if down:
+            block[upper] = 0.0
 
 
 def _matern_gram_from_d2(d2: np.ndarray, signal_variance: float) -> np.ndarray:
@@ -317,9 +340,8 @@ def _compose(grams, lam: float, out: np.ndarray) -> np.ndarray:
     """``(1 - lam) * sum + lam * product`` of the block Grams that are present.
 
     The result is written to ``out``. Sum and product start from the
-    first Gram, as ``0 + g`` and ``1 * g`` are exact. Each Gram of the
-    iterable is folded in and released before the next is built; the
-    inputs themselves are never modified.
+    first Gram, as ``0 + g`` and ``1 * g`` are exact. The Grams
+    themselves are never modified.
     """
     prod = None
     for g in grams:
@@ -329,7 +351,6 @@ def _compose(grams, lam: float, out: np.ndarray) -> np.ndarray:
         else:
             out += g
             prod *= g
-        del g
     if prod is None:
         raise ValueError("cannot evaluate a kernel over zero dimensions")
     out *= 1.0 - lam
@@ -343,20 +364,54 @@ def _matern_gram(xa: np.ndarray, xb: np.ndarray, params: KernelParams) -> np.nda
     return _matern_gram_from_d2(sqdist(xa / ls, xb / ls), params.signal_variance)
 
 
-def _linear_gram(ya: np.ndarray, yb: np.ndarray, v: float) -> np.ndarray:
-    g = ya @ yb.T
-    g *= v
-    return g
+def _gram_tile(a: np.ndarray, b: np.ndarray, params: KernelParams, blocks: Blocks, out: np.ndarray) -> None:
+    """Write the mixture Gram of the rows of a against the rows of b to out.
 
-
-def _block_grams(A: np.ndarray, B: np.ndarray, params: KernelParams, blocks: Blocks):
-    """Yield the Matern, linear, and indicator Grams of the present blocks."""
+    The matrix products (the Matern distances and the linear Gram) are
+    made for the whole tile, so each entry has the bits of a whole-matrix
+    product. The Matern transform, the indicator counts and the
+    composition then run on blocks of whole rows of about
+    ``_PIECE_ELEMENTS`` entries, with the operations of a whole-matrix
+    assembly in the same order.
+    """
+    d2 = lin = None
     if blocks.x.size:
-        yield _matern_gram(A[:, blocks.x], B[:, blocks.x], params)
+        ls = params.lengthscales
+        d2 = sqdist(a[:, blocks.x] / ls, b[:, blocks.x] / ls)
     if blocks.y.size:
-        yield _linear_gram(A[:, blocks.y], B[:, blocks.y], params.v)
+        lin = a[:, blocks.y] @ b[:, blocks.y].T
     if blocks.z.size:
-        yield _indicator_gram(A[:, blocks.z], B[:, blocks.z])
+        za, zb = a[:, blocks.z], b[:, blocks.z]
+    step = max(1, _PIECE_ELEMENTS // max(out.shape[1], 1))
+    for start in range(0, out.shape[0], step):
+        piece = slice(start, start + step)
+        grams = []
+        if d2 is not None:
+            grams.append(_matern_gram_from_d2(d2[piece], params.signal_variance))
+        if lin is not None:
+            g = lin[piece]
+            g *= params.v
+            grams.append(g)
+        if blocks.z.size:
+            grams.append(_indicator_gram(za[piece], zb))
+        _compose(grams, params.lam, out[piece])
+
+
+def _fill_gram(A: np.ndarray, B: np.ndarray | None, params: KernelParams, blocks: Blocks) -> np.ndarray:
+    """Gram of A against B, assembled one row tile at a time.
+
+    With B None, only the lower triangle of the square Gram of A is
+    filled in: each row tile gets the columns up to its last row, and the
+    entries above the diagonal tiles are left unset.
+    """
+    lower = B is None
+    if lower:
+        B = A
+    out = np.empty((A.shape[0], B.shape[0]))
+    for rows in _row_tiles(*out.shape):
+        cols = slice(0, rows.stop if lower else B.shape[0])
+        _gram_tile(A[rows], B[cols], params, blocks, out[rows, cols])
+    return out
 
 
 def mixture_gram(
@@ -370,7 +425,8 @@ def mixture_gram(
     Equivalent to evaluating :func:`mixture_kernel` on every pair, but
     assembled blockwise in vector form, one row tile of the output at a
     time, so temporaries stay tile-sized. Pass ``inputs2=None`` for the
-    square Gram of one set.
+    square Gram of one set: its lower triangle is computed and mirrored,
+    so the result is exactly symmetric.
 
     Parameters
     ----------
@@ -389,10 +445,10 @@ def mixture_gram(
         If ``blocks`` selects no dimension at all.
     """
     A = np.atleast_2d(np.asarray(inputs, dtype=float))
-    B = A if inputs2 is None else np.atleast_2d(np.asarray(inputs2, dtype=float))
-    out = np.empty((A.shape[0], B.shape[0]))
-    for rows in _row_tiles(A.shape[0], B.shape[0]):
-        _compose(_block_grams(A[rows], B, params, blocks), params.lam, out[rows])
+    if inputs2 is not None:
+        return _fill_gram(A, np.atleast_2d(np.asarray(inputs2, dtype=float)), params, blocks)
+    out = _fill_gram(A, None, params, blocks)
+    _copy_triangle(out, down=False)
     return out
 
 
@@ -424,28 +480,6 @@ class GpModel:
     @property
     def n(self) -> int:
         return self.inputs.shape[0]
-
-
-def _copy_triangle(m: np.ndarray, down: bool) -> None:
-    """Copy one strict triangle of square m onto the other, tile by tile.
-
-    ``down=False`` mirrors the lower triangle onto the upper. ``down=True``
-    moves the upper triangle onto the lower and zeros the upper, which
-    turns an upper factor into its transpose in place.
-    """
-    tiles = _square_tiles(m.shape[0])
-    for b, rows in enumerate(tiles):
-        for cols in tiles[:b]:
-            if down:
-                m[rows, cols] = m[cols, rows].T
-                m[cols, rows] = 0.0
-            else:
-                m[cols, rows] = m[rows, cols].T
-        block = m[rows, rows]
-        upper = np.tri(block.shape[0], k=-1, dtype=bool).T
-        np.copyto(block, block.T, where=upper.T if down else upper)
-        if down:
-            block[upper] = 0.0
 
 
 def _cholesky_in_place(m: np.ndarray, first: float, retries: int) -> tuple[np.ndarray | None, float]:
@@ -727,21 +761,21 @@ def _check_queries(model: GpModel, queries: np.ndarray) -> np.ndarray:
 
 
 def _raw_posterior(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized latent posterior mean and exactly symmetric covariance.
+    """Standardized latent posterior mean and the lower triangle of its covariance.
 
-    The prior covariance is built in its output buffer, and the explained
-    part ``w.T @ w`` is subtracted from it one row tile at a time.
+    The prior covariance's lower triangle is built in its output buffer,
+    and the explained part ``w.T @ w`` is subtracted from it one row tile
+    at a time. Only the lower triangle is set; the entries above the
+    diagonal tiles are not, and callers must not read them.
     """
     Q = _check_queries(model, queries)
     ks = mixture_gram(model.inputs, Q, model.params, model.blocks)
     mean = ks.T @ model._alpha
     w = solve_triangular(model._chol, ks, lower=True, check_finite=False)
     del ks
-    q = Q.shape[0]
-    cov = mixture_gram(Q, None, model.params, model.blocks)
-    for rows in _row_tiles(q, q):
-        cov[rows] -= w[:, rows].T @ w
-    _symmetrize(cov)
+    cov = _fill_gram(Q, None, model.params, model.blocks)
+    for rows in _row_tiles(*cov.shape):
+        cov[rows, : rows.stop] -= w[:, rows].T @ w[:, : rows.stop]
     return mean, cov
 
 
@@ -762,9 +796,9 @@ def gp_posterior(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.nd
         in target units. Observation noise is not added.
     """
     mean, cov = _raw_posterior(model, queries)
-    vals, vecs = np.linalg.eigh(cov)
+    vals, vecs = np.linalg.eigh(cov, UPLO="L")
     cov = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-    _symmetrize(cov)
+    _copy_triangle(cov, down=False)
     cov *= model.target_std**2
     return model.target_mean + model.target_std * mean, cov
 
@@ -799,9 +833,11 @@ def gp_sample(
 
     Notes
     -----
-    The posterior covariance is assembled in one q x q buffer, a row
-    tile at a time, and the covariance root is its Cholesky factor,
-    computed in place by LAPACK ``potrf``. Jitter is added to the
+    Only the lower triangle of the posterior covariance is assembled, in
+    one q x q buffer, a row tile at a time: each tile's matrix products
+    run whole, and its elementwise kernel work in cache-sized pieces of
+    whole rows. The covariance root is its Cholesky factor, computed in
+    place by LAPACK ``potrf`` from that triangle. Jitter is added to the
     diagonal only if the factorization fails, from 1e-10 by factors of
     10 up to 1e-5, and the root falls back to an eigendecomposition with
     clipped eigenvalues, so rank-deficient covariances (duplicate or
@@ -816,7 +852,7 @@ def gp_sample(
     q = mean.shape[0]
     root, _ = _cholesky_in_place(cov, 1e-10, 6)
     if root is None:
-        vals, vecs = np.linalg.eigh(cov)
+        vals, vecs = np.linalg.eigh(cov, UPLO="L")
         root = vecs * np.sqrt(np.clip(vals, 0.0, None))
     z = rng.standard_normal((q, count))
     draws = mean[:, None] + root @ z

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from mixbo import surrogate
 from mixbo.space import Blocks, ParamSpec, SearchSpace
@@ -338,19 +339,93 @@ def test_gp_mean_agrees_with_posterior_mean():
                 fn(model, bad)
 
 
-@pytest.mark.parametrize("tile", [None, 16])
-def test_raw_posterior_covariance_is_exactly_symmetric(tile, monkeypatch):
-    if tile is not None:
-        monkeypatch.setattr(surrogate, "_ROW_ALIGN", 2)
-        monkeypatch.setattr(surrogate, "_TILE_ELEMENTS", tile)
+def poison_upper_triangle(monkeypatch):
+    """Make every lower-triangle Gram come with NaN above the diagonal."""
+    fill = surrogate._fill_gram
+
+    def poisoned(A, B, params, blocks):
+        out = fill(A, B, params, blocks)
+        if B is None:
+            out[np.triu_indices(out.shape[0], 1)] = np.nan
+        return out
+
+    monkeypatch.setattr(surrogate, "_fill_gram", poisoned)
+
+
+def set_tiles(monkeypatch, align, tile, piece):
+    for name, value in (("_ROW_ALIGN", align), ("_TILE_ELEMENTS", tile), ("_PIECE_ELEMENTS", piece)):
+        if value is not None:
+            monkeypatch.setattr(surrogate, name, value)
+
+
+# (q, row alignment, tile entries, piece entries): one tile of whole-matrix
+# pieces; 2-row tiles whose last absorbs a lone row, with 1-row pieces;
+# 4-row tiles, the last ending at q, with 1-row pieces; the same tiles
+# with pieces of 1 to 4 rows
+TILINGS = [(23, None, None, None), (23, 2, 16, 1), (24, 2, 96, 1), (24, 2, 96, 40)]
+
+
+@pytest.mark.parametrize("q,align,tile,piece", TILINGS)
+def test_raw_posterior_lower_triangle_is_prior_gram_minus_update(q, align, tile, piece, monkeypatch):
     space = mixed_space()
     rng = np.random.default_rng(13)
     model = gp_fit(sample_inputs(rng, space, 10), rng.standard_normal(10), space)
-    Q = sample_inputs(rng, space, 23)
-    _, cov = surrogate._raw_posterior(model, Q)
-    assert np.array_equal(cov, cov.T)
+    Q = sample_inputs(rng, space, q)
     _, ref = gp_posterior(model, Q)
-    np.testing.assert_allclose(cov * model.target_std**2, ref, rtol=0.0, atol=1e-10)
+    set_tiles(monkeypatch, align, tile, piece)
+    # the whole prior Gram minus the whole update, made with the same row
+    # tiles: BLAS rounds a product's rows by their place in the call, and
+    # tiles this small start off the GEMM micro-kernel's row grid
+    w = solve_triangular(model._chol, mixture_gram(model.inputs, Q, model.params, model.blocks), lower=True)
+    want = mixture_gram(Q, Q, model.params, model.blocks)
+    for rows in surrogate._row_tiles(q, q):
+        want[rows] -= w[:, rows].T @ w
+    if align is None:
+        assert np.array_equal(want, mixture_gram(Q, Q, model.params, model.blocks) - w.T @ w)
+    poison_upper_triangle(monkeypatch)
+    _, cov = surrogate._raw_posterior(model, Q)
+    lower = np.tril_indices(q)
+    assert np.array_equal(cov[lower], want[lower])
+    # nothing downstream reads above the diagonal
+    _, got = gp_posterior(model, Q)
+    assert np.array_equal(got, got.T)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-10)
+    draws = gp_sample(model, Q, np.random.default_rng(3), count=2)
+    assert np.all(np.isfinite(draws))
+
+
+def test_square_gram_is_exactly_symmetric():
+    space = SearchSpace(
+        [ParamSpec(f"x{i}", "real", lo=0.0, hi=1.0) for i in range(32)]
+        + [ParamSpec(f"n{i}", "integer", lo=0, hi=9) for i in range(16)]
+        + [ParamSpec(f"c{i}", "categorical", categories=("a", "b", "c", "d")) for i in range(16)]
+    )
+    rng = np.random.default_rng(8)
+    H = sample_inputs(rng, space, 700)
+    p = KernelParams(lengthscales=rng.uniform(0.2, 1.0, size=32), signal_variance=1.3, lam=0.5)
+    G = mixture_gram(H, None, p, space.blocks)
+    assert np.array_equal(G, G.T)
+    lower = np.tril_indices(700)
+    assert np.array_equal(G[lower], mixture_gram(H, H, p, space.blocks)[lower])
+
+
+def test_gp_sample_over_several_row_tiles_matches_numpy_cholesky(monkeypatch):
+    space = mixed_space()
+    rng = np.random.default_rng(27)
+    model = gp_fit(sample_inputs(rng, space, 12), rng.standard_normal(12), space)
+    q = 40
+    Q = sample_inputs(rng, space, q)
+    mean, _ = gp_posterior(model, Q)
+    w = solve_triangular(model._chol, mixture_gram(model.inputs, Q, model.params, model.blocks), lower=True)
+    cov = mixture_gram(Q, Q, model.params, model.blocks) - w.T @ w
+    cov = np.tril(cov) + np.tril(cov, -1).T
+    root, _ = reference_cholesky(cov, 1e-10, 6)
+    z = np.random.default_rng(6).standard_normal((q, 3))
+    want = mean + model.target_std * (root @ z).T
+    set_tiles(monkeypatch, 2, 8 * q, 1)  # 8-row tiles, 1-row pieces
+    assert len(list(surrogate._row_tiles(q, q))) == 5
+    got = gp_sample(model, Q, np.random.default_rng(6), count=3)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def reference_cholesky(m, first, retries):
