@@ -50,10 +50,6 @@ class BanditState:
         beta = {p.name: np.ones(p.n_arms) for p in space.qualitative_params}
         return cls(names=names, alpha=alpha, beta=beta)
 
-    @property
-    def arm_counts(self) -> dict[str, int]:
-        return {name: self.alpha[name].shape[0] for name in self.names}
-
 
 def ts_select(state: BanditState, rng: np.random.Generator) -> dict[str, int]:
     """Pick one arm per variable by Thompson sampling.

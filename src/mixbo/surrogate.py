@@ -8,7 +8,7 @@ covariance between two warped vectors h and h' is
                + lam * k_M(x, x') * k_L(y, y') * k_I(z, z')
 
 where k_M is a Matern covariance with smoothness 5/2 and per-dimension
-lengthscales, k_L is the linear covariance v * y.y' with v fixed at 1,
+lengthscales, k_L is the linear covariance y.y',
 and k_I averages per-dimension indicator matches. An absent block drops
 out of the sum and contributes a factor of 1 to the product, so a purely
 continuous space reduces to the plain Matern kernel. The mixing weight
@@ -94,15 +94,12 @@ class KernelParams:
         Mixing weight between the sum and product composition, in [0, 1].
     noise_variance : float
         Observation noise added to the Gram diagonal, at least 1e-8.
-    v : float
-        Linear-kernel variance, fixed at 1.0.
     """
 
     lengthscales: np.ndarray
     signal_variance: float = DEFAULT_SIGNAL_VARIANCE
     lam: float = 0.5
     noise_variance: float = DEFAULT_NOISE_VARIANCE
-    v: float = 1.0
 
     def __post_init__(self) -> None:
         ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
@@ -178,28 +175,23 @@ def matern52(x: np.ndarray, x2: np.ndarray, lengthscales: np.ndarray, signal_var
     return signal_variance * (1.0 + SQRT5 * d + 5.0 * d * d / 3.0) * math.exp(-SQRT5 * d)
 
 
-def linear_kernel(y: np.ndarray, y2: np.ndarray, v: float = 1.0) -> float:
-    """Linear covariance v * <y, y2>. Empty inputs give 0."""
+def linear_kernel(y: np.ndarray, y2: np.ndarray) -> float:
+    """Linear covariance <y, y2>. Empty inputs give 0."""
     y = np.asarray(y, dtype=float)
     y2 = np.asarray(y2, dtype=float)
-    return float(v * np.dot(y, y2))
+    return float(np.dot(y, y2))
 
 
-def indicator_kernel(z: np.ndarray, z2: np.ndarray, mode: str = "mean") -> float:
-    """Match score of two qualitative blocks.
+def indicator_kernel(z: np.ndarray, z2: np.ndarray) -> float:
+    """Fraction of the dimensions of two qualitative blocks with equal values.
 
-    ``mode="mean"`` returns the fraction of dimensions with equal values;
-    ``mode="strict"`` returns 1.0 only when every dimension matches.
     Empty blocks count as a perfect match.
     """
     z = np.asarray(z)
     z2 = np.asarray(z2)
     if z.size == 0:
         return 1.0
-    eq = z == z2
-    if mode == "strict":
-        return 1.0 if bool(np.all(eq)) else 0.0
-    return float(np.mean(eq))
+    return float(np.mean(z == z2))
 
 
 def mixture_kernel(h: np.ndarray, h2: np.ndarray, params: KernelParams, blocks: Blocks) -> float:
@@ -233,7 +225,7 @@ def mixture_kernel(h: np.ndarray, h2: np.ndarray, params: KernelParams, blocks: 
         terms.append(km)
         prod *= km
     if blocks.y.size:
-        kl = linear_kernel(h[blocks.y], h2[blocks.y], params.v)
+        kl = linear_kernel(h[blocks.y], h2[blocks.y])
         terms.append(kl)
         prod *= kl
     if blocks.z.size:
@@ -389,9 +381,7 @@ def _gram_tile(a: np.ndarray, b: np.ndarray, params: KernelParams, blocks: Block
         if d2 is not None:
             grams.append(_matern_gram_from_d2(d2[piece], params.signal_variance))
         if lin is not None:
-            g = lin[piece]
-            g *= params.v
-            grams.append(g)
+            grams.append(lin[piece])
         if blocks.z.size:
             grams.append(_indicator_gram(za[piece], zb))
         _compose(grams, params.lam, out[piece])
@@ -619,7 +609,7 @@ def gp_fit(
     Xx = X[:, blocks.x]
     # Per-dimension squared differences are fixed across the search, so the
     # Matern gram for any lengthscale vector is a cheap weighted sum. The
-    # linear (v = 1) and indicator grams do not depend on the search at all.
+    # linear and indicator grams do not depend on the search at all.
     diff2 = (Xx[:, None, :] - Xx[None, :, :]) ** 2 if dx else None
     fixed = []
     if blocks.y.size:

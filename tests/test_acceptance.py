@@ -92,7 +92,6 @@ def test_criterion_01_kernel_validity(capsys):
                 signal_variance=float(rng.uniform(0.05, 8.0)),
                 lam=float(rng.uniform(0.0, 1.0)),
                 noise_variance=float(rng.uniform(1e-6, 1e-2)),
-                v=float(rng.uniform(0.05, 4.0)),
             )
             G = mixture_gram(H, None, params, bl)
             lo = float(np.linalg.eigvalsh(G + 1e-8 * np.eye(200)).min())
@@ -108,12 +107,12 @@ def test_criterion_01_kernel_validity(capsys):
 
         # edge identities: lam 0 is the kernel sum, lam 1 the product
         ls = rng.uniform(0.1, 2.0, size=bl.x.size)
-        p0 = KernelParams(lengthscales=ls, signal_variance=1.7, lam=0.0, v=0.9)
-        p1 = KernelParams(lengthscales=ls, signal_variance=1.7, lam=1.0, v=0.9)
+        p0 = KernelParams(lengthscales=ls, signal_variance=1.7, lam=0.0)
+        p1 = KernelParams(lengthscales=ls, signal_variance=1.7, lam=1.0)
         for _ in range(20):
             h1, h2 = H[rng.integers(200)], H[rng.integers(200)]
             km = matern52(h1[bl.x], h2[bl.x], ls, 1.7)
-            kl = linear_kernel(h1[bl.y], h2[bl.y], 0.9)
+            kl = linear_kernel(h1[bl.y], h2[bl.y])
             ki = indicator_kernel(h1[bl.z], h2[bl.z])
             total, prod = km + kl + ki, km * kl * ki
             assert abs(mixture_kernel(h1, h2, p0, bl) - total) <= 4 * EPS * max(1.0, abs(total))

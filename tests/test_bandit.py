@@ -26,7 +26,6 @@ def qual_space():
 def test_state_from_space_sets_uniform_priors():
     st = BanditState.from_space(qual_space())
     assert st.names == ("flag", "mode")
-    assert st.arm_counts == {"flag": 2, "mode": 4}
     np.testing.assert_array_equal(st.alpha["mode"], np.ones(4))
     np.testing.assert_array_equal(st.beta["mode"], np.ones(4))
 
