@@ -3,10 +3,10 @@ Partitioning the space into good and bad regions
 ================================================
 
 Once enough observations exist, the optimizer labels them by running an
-exact two-cluster k-means on the objective values, trains a small RBF
-support-vector machine on the labels, and then (a) filters candidate
-points to the incumbent's side of the boundary and (b) seeds restarts
-inside the good region instead of uniformly.
+exact two-cluster k-means on the objective values, fits an RBF
+least-squares support-vector machine to the labels in one linear solve,
+and then (a) filters candidate points to the good side of the boundary
+and (b) seeds restarts inside the good region instead of uniformly.
 """
 
 import numpy as np
@@ -33,12 +33,12 @@ print("good mean value:", round(values[labels].mean(), 4), " bad mean value:", r
 clf = fit_classifier(W, labels)
 print("training accuracy:", clf.train_accuracy)
 
-# Candidate filtering keeps the side the incumbent lives on. If the
-# boundary would reject nearly everything, the filter falls back to the
-# best-ranked fifth of the candidates so the search never starves.
-best = W[np.argmin(values)]
+# Candidate filtering keeps the good side, where the decision value is
+# nonnegative. If the boundary would reject nearly everything, the filter
+# falls back to the best-ranked fifth of the candidates so the search
+# never starves.
 cands = rng.random((200, 2))
-kept = filter_candidates(clf, cands, best)
+kept = filter_candidates(clf, cands)
 print("kept", kept.shape[0], "of 200 candidates")
 dist_kept = np.linalg.norm(kept - 0.25, axis=1).mean()
 dist_all = np.linalg.norm(cands - 0.25, axis=1).mean()

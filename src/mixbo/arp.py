@@ -2,18 +2,20 @@
 
 Once enough observations exist, they are split into a good and a bad
 group by exact two-cluster k-means on the objective values alone, and a
-soft-margin RBF support vector machine is trained on the warped inputs
-to carve the cube into a good region and a bad region. Candidate points
-outside the good region are discarded before acquisition, and restart
-proposals are drawn from the good region by rejection sampling, so a
-fresh trust region starts in territory that history suggests is
-promising rather than anywhere in the cube.
+least-squares support vector machine with an RBF kernel (Suykens and
+Vandewalle, 1999) is trained on the warped inputs to carve the cube
+into a good region and a bad region. The good region is where the
+decision value is nonnegative, the side of the points labeled good.
+Candidate points outside it are discarded before acquisition, and
+restart proposals are drawn from it by rejection sampling, so a fresh
+trust region starts in territory that history suggests is promising
+rather than anywhere in the cube.
 
-The SVM is deliberately small: a precomputed Gram matrix and a
-sequential minimal optimization loop over pairs of dual variables, with
-deterministic pair selection so identical inputs always give the same
-classifier. Training sets here stay in the low hundreds, where this is
-both fast and exact enough. Squared distances come from the surrogate's
+The classifier is one dense linear solve: the least-squares form turns
+the SVM's quadratic program into a bordered (n+1)x(n+1) system, so it
+is exact, has no iteration or stopping rule, and identical inputs give
+identical classifiers. Training sets here stay in the low hundreds.
+Squared distances come from the surrogate's
 :func:`~mixbo.surrogate.sqdist`; the training distances are computed
 once and serve both the kernel width and the Gram matrix.
 """
@@ -39,21 +41,19 @@ class ArpConfig:
 
     ``activation_threshold`` is the observation count below which
     partitioning stays inactive; None resolves to ``max(16, 2 * D)``.
-    ``svm_budget`` caps full SMO passes over the training set.
     ``fallback_fraction`` is the share of candidates retained by decision
     value when the good region captures fewer than that share.
+    ``svm_c`` weighs the squared training errors against the smoothness
+    of the boundary.
     """
 
     activation_threshold: int | None = None
-    svm_budget: int = 200
     fallback_fraction: float = 0.2
     svm_c: float = 1.0
 
     def __post_init__(self) -> None:
         if self.activation_threshold is not None and self.activation_threshold < 4:
             raise ValueError("activation_threshold must be at least 4")
-        if self.svm_budget < 1:
-            raise ValueError("svm_budget must be at least 1")
         if not 0.0 < self.fallback_fraction <= 1.0:
             raise ValueError("fallback_fraction must lie in (0, 1]")
         if self.svm_c <= 0:
@@ -121,9 +121,8 @@ def label_observations(values: np.ndarray) -> np.ndarray:
 class RegionClassifier:
     """A trained good/bad region boundary.
 
-    ``decision`` is positive on the side the classifier calls good at
-    training time; the optimizer re-anchors the sign at the incumbent
-    when filtering, so only the boundary itself matters.
+    ``decision`` is nonnegative on the good side, the side of the points
+    labeled good at training time.
     """
 
     support_vectors: np.ndarray
@@ -151,7 +150,7 @@ def _median_heuristic_gamma(d2: np.ndarray) -> float:
 def fit_classifier(
     points: np.ndarray, labels: np.ndarray, config: ArpConfig | None = None
 ) -> RegionClassifier:
-    """Train the RBF soft-margin boundary between good and bad points.
+    """Train the RBF least-squares SVM boundary between good and bad points.
 
     Parameters
     ----------
@@ -164,18 +163,20 @@ def fit_classifier(
     Returns
     -------
     RegionClassifier
+        Every training point is a support vector.
 
     Notes
     -----
     The RBF width follows the median heuristic, gamma equal to the
     reciprocal of the median squared pairwise distance (1.0 if that
-    median is zero). Dual variables are optimized by sequential minimal
-    optimization with box constraint ``svm_c``: the first variable is
-    scanned in index order among KKT violators; its partner is chosen to
-    maximize the error gap |E_i - E_j|, falling back deterministically
-    to the next index that makes progress. Passes stop early once a full
-    scan changes nothing. Identical inputs therefore give identical
-    classifiers.
+    median is zero). With y = +1 for good and -1 for bad points and
+    K the RBF Gram, the coefficients beta and the bias b solve
+
+        [[0, 1'], [1, K + I / svm_c]] [b; beta] = [0; y],
+
+    so beta sums to zero and the training decisions K beta + b equal
+    y - beta / svm_c. K + I / svm_c is positive definite, so the system
+    always has a unique solution.
     """
     if config is None:
         config = ArpConfig()
@@ -196,95 +197,35 @@ def fit_classifier(
     gamma = _median_heuristic_gamma(d2)
     K = np.exp(-gamma * d2)
 
-    C = config.svm_c
-    tol = 1e-3
-    alpha = np.zeros(n)
-    b = 0.0
-    # Decision values over the training set, maintained incrementally so
-    # errors and partner selection stay linear per step.
-    f = np.full(n, b)
+    system = np.ones((n + 1, n + 1))
+    system[0, 0] = 0.0
+    system[1:, 1:] = K + np.eye(n) / config.svm_c
+    solution = np.linalg.solve(system, np.concatenate(([0.0], y)))
+    bias, beta = float(solution[0]), solution[1:]
 
-    def try_step(i: int, j: int) -> bool:
-        nonlocal b, f
-        if i == j:
-            return False
-        e_i = f[i] - y[i]
-        e_j = f[j] - y[j]
-        a_i_old, a_j_old = alpha[i], alpha[j]
-        if y[i] != y[j]:
-            lo, hi = max(0.0, a_j_old - a_i_old), min(C, C + a_j_old - a_i_old)
-        else:
-            lo, hi = max(0.0, a_i_old + a_j_old - C), min(C, a_i_old + a_j_old)
-        if lo >= hi:
-            return False
-        eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-        if eta >= 0.0:
-            return False
-        a_j = a_j_old - y[j] * (e_i - e_j) / eta
-        a_j = min(max(a_j, lo), hi)
-        if abs(a_j - a_j_old) < 1e-12:
-            return False
-        a_i = a_i_old + y[i] * y[j] * (a_j_old - a_j)
-        alpha[i], alpha[j] = a_i, a_j
-        b1 = b - e_i - y[i] * (a_i - a_i_old) * K[i, i] - y[j] * (a_j - a_j_old) * K[i, j]
-        b2 = b - e_j - y[i] * (a_i - a_i_old) * K[i, j] - y[j] * (a_j - a_j_old) * K[j, j]
-        b_old = b
-        if 0.0 < a_i < C:
-            b = b1
-        elif 0.0 < a_j < C:
-            b = b2
-        else:
-            b = 0.5 * (b1 + b2)
-        f = f + y[i] * (a_i - a_i_old) * K[:, i] + y[j] * (a_j - a_j_old) * K[:, j] + (b - b_old)
-        return True
-
-    for _ in range(config.svm_budget):
-        changed = 0
-        for i in range(n):
-            e_i = f[i] - y[i]
-            r = y[i] * e_i
-            if not ((r < -tol and alpha[i] < C) or (r > tol and alpha[i] > 0)):
-                continue
-            gaps = np.abs(e_i - (f - y))
-            gaps[i] = -1.0
-            if try_step(i, int(np.argmax(gaps))):
-                changed += 1
-                continue
-            # Deterministic fallback scan from the next index.
-            for off in range(1, n):
-                if try_step(i, (i + off) % n):
-                    changed += 1
-                    break
-        if changed == 0:
-            break
-
-    dec = f
-    accuracy = float(np.mean(np.sign(dec) == y))
-    keep = alpha > 1e-10
+    dec = K @ beta + bias
     return RegionClassifier(
-        support_vectors=X[keep].copy(),
-        dual_coefs=(alpha * y)[keep].copy(),
-        bias=float(b),
+        support_vectors=X.copy(),
+        dual_coefs=beta,
+        bias=bias,
         kernel_gamma=gamma,
         trained_on=n,
-        train_accuracy=accuracy,
+        train_accuracy=float(np.mean((dec >= 0.0) == lab)),
     )
 
 
 def filter_candidates(
     classifier: RegionClassifier,
     candidates: np.ndarray,
-    best_point: np.ndarray,
     fallback_fraction: float = 0.2,
 ) -> np.ndarray:
-    """Keep candidates on the incumbent's side of the boundary.
+    """Keep candidates on the good side of the boundary.
 
-    The good side is whatever side the current best point falls on, with
-    a decision value of exactly zero counted as positive. If fewer than
-    ``fallback_fraction`` of the candidates survive, the filter instead
-    keeps the ``ceil(fallback_fraction * len(candidates))`` candidates
-    whose decision values lie furthest toward the chosen side, so the
-    acquisition step never runs out of points.
+    The good side is where the decision value is nonnegative. If fewer
+    than ``fallback_fraction`` of the candidates lie there, the filter
+    instead keeps the ``ceil(fallback_fraction * len(candidates))``
+    candidates with the largest decision values, so the acquisition step
+    never runs out of points.
 
     Returns the surviving candidates in their original order (fallback
     ranking reorders by decision value).
@@ -292,13 +233,12 @@ def filter_candidates(
     cand = np.atleast_2d(np.asarray(candidates, dtype=float))
     if cand.shape[0] == 0:
         raise ValueError("no candidates to filter")
-    side = 1.0 if float(classifier.decision(best_point)[0]) >= 0.0 else -1.0
     dec = classifier.decision(cand)
-    matches = (dec >= 0.0) if side > 0 else (dec < 0.0)
+    good = dec >= 0.0
     need = math.ceil(fallback_fraction * cand.shape[0])
-    if int(matches.sum()) >= need:
-        return cand[matches]
-    ranked = np.argsort(-side * dec, kind="stable")[:need]
+    if int(good.sum()) >= need:
+        return cand[good]
+    ranked = np.argsort(-dec, kind="stable")[:need]
     return cand[ranked]
 
 

@@ -337,7 +337,6 @@ class Optimizer:
         # Score candidates as the points they would actually evaluate to.
         cands = space.snap(cands)
 
-        best_idx = int(np.argmin(y))
         if cfg.enable_arp and len(self._history) >= self._arp.activation_threshold:
             clf = None
             try:
@@ -348,9 +347,7 @@ class Optimizer:
             except DegenerateValuesError:
                 pass  # a flat history carries no region signal this round
             if clf is not None:
-                cands = arp_mod.filter_candidates(
-                    clf, cands, X[best_idx], self._arp.fallback_fraction
-                )
+                cands = arp_mod.filter_candidates(clf, cands, self._arp.fallback_fraction)
                 self._counters["arp_filters"] += 1
 
         draws = gp_sample(model, cands, self._rng, count=cfg.batch_size)
@@ -383,9 +380,10 @@ class Optimizer:
         points : sequence of dict
             Must equal the pending suggestion, same order.
         values : sequence of float
-            One value per point. NaN and infinities are imputed to +inf
-            and flagged in the history rather than rejected, with one
-            RuntimeWarning per batch that had any.
+            One value per point. NaN, +inf and -inf count as failed
+            evaluations: each is recorded as +inf (so -inf never becomes
+            the best value) and flagged in the history rather than
+            rejected, with one RuntimeWarning per batch that had any.
         """
         if self._pending is None:
             raise ProtocolError("observe called with no pending suggestion")

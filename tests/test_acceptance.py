@@ -292,7 +292,7 @@ def test_criterion_04_region_partitioning(capsys):
             rng.shuffle(lab)
             clf = fit_classifier(pts, lab)
             cand = rng.random((int(rng.integers(1, 40)), 3))
-            kept = filter_candidates(clf, cand, rng.random(3))
+            kept = filter_candidates(clf, cand)
             assert kept.shape[0] >= 1
         assert time.perf_counter() - t0 < 60.0
 

@@ -6,6 +6,7 @@ import pytest
 from mixbo.arp import (
     ArpConfig,
     DegenerateValuesError,
+    RegionClassifier,
     fit_classifier,
     filter_candidates,
     label_observations,
@@ -95,42 +96,92 @@ def test_classifier_handles_alternating_pattern():
     assert clf.train_accuracy >= 0.9
 
 
-def test_classifier_budget_is_respected():
+@pytest.mark.parametrize("svm_c", [0.1, 1.0, 25.0])
+def test_classifier_solves_the_least_squares_system(svm_c):
     rng = np.random.default_rng(3)
-    X, y = blob_data(rng, n_per=30)
-    clf = fit_classifier(X, y, config=ArpConfig(svm_budget=5))
-    # even a tiny budget must return a usable, finite decision rule
-    assert np.all(np.isfinite(clf.decision(X)))
+    # overlapping classes, so training errors are not zero
+    X = rng.random((40, 3))
+    y = X[:, 0] + 0.3 * rng.standard_normal(40) < 0.5
+    cfg = ArpConfig(svm_c=svm_c)
+    clf = fit_classifier(X, y, cfg)
+    beta = clf.dual_coefs
+    assert clf.support_vectors.shape == X.shape
+    assert clf.trained_on == 40
+    assert abs(beta.sum()) <= 1e-12
+    signs = np.where(y, 1.0, -1.0)
+    np.testing.assert_allclose(clf.decision(X), signs - beta / svm_c, rtol=0.0, atol=1e-10)
+    assert clf.train_accuracy == np.mean((clf.decision(X) >= 0) == y)
+    again = fit_classifier(X.copy(), y.copy(), cfg)
+    assert again.bias == clf.bias and again.kernel_gamma == clf.kernel_gamma
+    np.testing.assert_array_equal(again.dual_coefs, clf.dual_coefs)
+    np.testing.assert_array_equal(again.support_vectors, clf.support_vectors)
+
+
+def test_classifier_accepts_duplicated_points():
+    # repeated rows make the Gram singular; the ridge keeps the solve exact
+    rng = np.random.default_rng(4)
+    X = np.repeat(rng.random((6, 2)), 3, axis=0)
+    y = np.repeat(np.array([True, True, False, True, False, False]), 3)
+    clf = fit_classifier(X, y)
+    assert np.all(np.isfinite(clf.dual_coefs)) and np.isfinite(clf.bias)
+    signs = np.where(y, 1.0, -1.0)
+    np.testing.assert_allclose(clf.decision(X), signs - clf.dual_coefs, rtol=0.0, atol=1e-10)
+    # copies of one point share one coefficient
+    np.testing.assert_allclose(clf.dual_coefs.reshape(6, 3), clf.dual_coefs[::3, None].repeat(3, 1), atol=1e-12)
 
 
 # --- candidate filtering ----------------------------------------------
 
 
-def test_filter_keeps_candidates_on_the_best_points_side():
+def test_filter_keeps_candidates_on_the_good_side():
     rng = np.random.default_rng(1)
     X, y = blob_data(rng)
     clf = fit_classifier(X, y)
-    best = X[y][0]
     cand = rng.uniform(-2.5, 2.5, size=(200, 2))
-    kept = filter_candidates(clf, cand, best)
-    side = clf.decision(best[None])[0] >= 0
-    dec = clf.decision(kept)
+    kept = filter_candidates(clf, cand)
+    dec = clf.decision(cand)
     assert kept.shape[0] > 0
-    if side:
-        assert np.all(dec >= 0)
-    else:
-        assert np.all(dec < 0)
+    np.testing.assert_array_equal(kept, cand[dec >= 0])
+
+
+def bump_classifier():
+    """decision(w) = exp(-4 |w - 0.2|^2) - 0.5: good within 0.42 of 0.2."""
+    return RegionClassifier(
+        support_vectors=np.array([[0.2]]),
+        dual_coefs=np.array([1.0]),
+        bias=-0.5,
+        kernel_gamma=4.0,
+        trained_on=4,
+        train_accuracy=1.0,
+    )
+
+
+def test_filter_and_restarts_share_the_training_sign():
+    # The best observed point may score negative (a training error). The
+    # filter must still keep the nonnegative side, the one restart
+    # sampling draws from, not the side the incumbent happens to be on.
+    clf = bump_classifier()
+    incumbent = np.array([1.5])
+    assert clf.decision(incumbent[None])[0] < 0
+    cand = np.linspace(0.0, 1.0, 21)[:, None]
+    good = clf.decision(cand) >= 0
+    assert 0.2 * cand.shape[0] <= good.sum() < cand.shape[0]
+    kept = filter_candidates(clf, cand)
+    np.testing.assert_array_equal(kept, cand[good])
+    space = SearchSpace([ParamSpec("a", "real", lo=0.0, hi=1.0)])
+    pts = restart_samples(clf, space, np.random.default_rng(0), count=30)
+    W = np.array([space.warp(p) for p in pts])
+    assert np.all(clf.decision(W) >= 0)
 
 
 def test_filter_falls_back_to_least_bad_candidates():
     rng = np.random.default_rng(5)
     X, y = blob_data(rng)
     clf = fit_classifier(X, y)
-    best = X[y][0]
     # all candidates deep on the wrong side
     wrong = X[~y].mean(axis=0)
     cand = rng.normal(wrong, 0.05, size=(50, 2))
-    kept = filter_candidates(clf, cand, best, fallback_fraction=0.2)
+    kept = filter_candidates(clf, cand, fallback_fraction=0.2)
     assert kept.shape[0] == 10  # ceil(0.2 * 50)
     # the fallback picks the candidates closest to the good side
     dec_all = np.sort(clf.decision(cand))[::-1]
@@ -142,9 +193,8 @@ def test_filter_preserves_original_candidate_order():
     rng = np.random.default_rng(9)
     X, y = blob_data(rng)
     clf = fit_classifier(X, y)
-    best = X[y][0]
     cand = np.vstack([X[y] + rng.normal(0, 0.05, X[y].shape) for _ in range(3)])
-    kept = filter_candidates(clf, cand, best)
+    kept = filter_candidates(clf, cand)
     # every kept row appears in the original order
     idx = [np.flatnonzero((cand == row).all(axis=1))[0] for row in kept]
     assert idx == sorted(idx)
