@@ -1,8 +1,14 @@
 """Tests for the ask/tell optimizer loop."""
 
+import json
+import math
+import pathlib
+import warnings
+
 import numpy as np
 import pytest
 
+from mixbo.bench import get_objective
 from mixbo.optimizer import (
     ConfigError,
     EmptyHistoryError,
@@ -82,6 +88,13 @@ def test_config_from_dict_round_trip_and_unknown_keys():
         config_from_dict({"turbo": {"length_mni": 0.25}})
     with pytest.raises(ConfigError):
         config_from_dict({"flags": {"turbo": True}})
+
+
+def test_readme_config_document_is_the_default_config():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("**Config document**", 1)[1]
+    doc = after.split("```json", 1)[1].split("```", 1)[0]
+    assert config_from_dict(json.loads(doc)) == OptimizerConfig()
 
 
 # --- protocol -------------------------------------------------------------
@@ -197,6 +210,42 @@ def test_failed_evaluations_survive_the_model_phase():
     assert d["imputed_values"] == rounds
     assert all(ob.value == np.inf for ob in opt.history[::4])
     assert np.isfinite(opt.best()[1])
+
+
+EXTREME_PATTERNS = {
+    "huge": lambda u, i: 1e308 if i % 2 else -1e308,
+    "tiny": lambda u, i: 1e-300 * u,
+    "flat": lambda u, i: 3.0,
+    "mostly-nan": lambda u, i: u if i % 20 in (0, 7, 13) else math.nan,
+    "neg-inf": lambda u, i: -math.inf if i % 7 == 6 else u,
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(EXTREME_PATTERNS))
+def test_extreme_values_do_not_break_the_loop(pattern):
+    ob = get_objective("mixed-sphere")
+    opt = Optimizer(ob.space, OptimizerConfig(batch_size=4, seed=0))
+    value = EXTREME_PATTERNS[pattern]
+    seen = 0
+    with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for _ in range(12):
+                pts = opt.suggest()
+                for p in pts:
+                    ob.space.validate(p)
+                vals = [value(ob.evaluate(p), seen + k) for k, p in enumerate(pts)]
+                seen += len(pts)
+                opt.observe(pts, vals)
+    assert len(opt.history) == 48
+    fits = opt.diagnostics["arp_fits"]
+    if pattern == "flat":
+        assert fits == 0  # a flat history carries no region signal
+    else:
+        assert fits > 0
+    # -inf is a failed evaluation, recorded as +inf, never the best value
+    assert all(ob_.value != -math.inf for ob_ in opt.history)
+    assert opt.best()[1] != -math.inf
 
 
 @pytest.mark.parametrize("finite_per_run", [0, 1])
