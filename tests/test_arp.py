@@ -118,7 +118,8 @@ def test_classifier_solves_the_least_squares_system(svm_c):
 
 
 def test_classifier_accepts_duplicated_points():
-    # repeated rows make the Gram singular; the ridge keeps the solve exact
+    # repeated rows make the Gram singular; the I / svm_c term keeps the
+    # bordered system nonsingular
     rng = np.random.default_rng(4)
     X = np.repeat(rng.random((6, 2)), 3, axis=0)
     y = np.repeat(np.array([True, True, False, True, False, False]), 3)
@@ -127,7 +128,8 @@ def test_classifier_accepts_duplicated_points():
     signs = np.where(y, 1.0, -1.0)
     np.testing.assert_allclose(clf.decision(X), signs - clf.dual_coefs, rtol=0.0, atol=1e-10)
     # copies of one point share one coefficient
-    np.testing.assert_allclose(clf.dual_coefs.reshape(6, 3), clf.dual_coefs[::3, None].repeat(3, 1), atol=1e-12)
+    per_point = clf.dual_coefs.reshape(6, 3)
+    np.testing.assert_allclose(per_point, per_point[:, :1].repeat(3, axis=1), rtol=0.0, atol=1e-12)
 
 
 # --- candidate filtering ----------------------------------------------
