@@ -96,11 +96,12 @@ def label_observations(values: np.ndarray) -> np.ndarray:
         raise ValueError(f"need at least 4 values, got {n}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("values must be finite")
-    if np.ptp(vals) == 0.0:
+    if vals.min() == vals.max():
         raise DegenerateValuesError("all values are identical")
 
     order = np.argsort(vals, kind="stable")
-    s = vals[order]
+    # scaled by a power of two, exactly, so the squares cannot overflow
+    s = np.ldexp(vals[order], -np.frexp(np.max(np.abs(vals)))[1])
     csum = np.cumsum(s)
     csq = np.cumsum(s * s)
     total_sum = csum[-1]

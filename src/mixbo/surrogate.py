@@ -19,7 +19,9 @@ Grams that are present; the scalar kernels stay as the reference.
 Targets are standardized internally before fitting. Hyperparameters are
 chosen by maximizing the log marginal likelihood with a deterministic
 multi-start coordinate search under a hard budget of likelihood
-evaluations, so fits are reproducible and their cost is bounded.
+evaluations, so fits are reproducible and their cost is bounded. Every
+training Gram of a fit, searched or final, comes from one builder and
+is factored in its buffer by LAPACK ``potrf``.
 
 Large matrices are built and factored in place. A Gram is filled into
 one preallocated output a row tile at a time, each tile holding about
@@ -45,8 +47,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .space import Blocks, SearchSpace
 
@@ -120,17 +122,13 @@ class SurrogateConfig:
 
     The bounds are in warped units and the lengthscale and variance
     coordinates are searched on a log scale. ``lambda_grid`` lists the
-    admissible mixing weights. ``max_fit_evals`` caps the number of
-    marginal-likelihood evaluations per fit and ``n_sweeps`` the
-    coordinate sweeps per start.
+    admissible mixing weights.
     """
 
     lengthscale_bounds: tuple[float, float] = (5e-3, 2.0)
     signal_bounds: tuple[float, float] = (0.05, 20.0)
     noise_bounds: tuple[float, float] = (1e-6, 1e-2)
     lambda_grid: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
-    max_fit_evals: int = 2000
-    n_sweeps: int = 2
 
     def __post_init__(self) -> None:
         for name in ("lengthscale_bounds", "signal_bounds", "noise_bounds"):
@@ -139,8 +137,6 @@ class SurrogateConfig:
                 raise ValueError(f"{name} must satisfy 0 < lo < hi")
         if not self.lambda_grid or any(not 0 <= g <= 1 for g in self.lambda_grid):
             raise ValueError("lambda_grid entries must lie in [0, 1]")
-        if self.max_fit_evals < 10:
-            raise ValueError("max_fit_evals too small to fit anything")
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +347,6 @@ def _compose(grams, lam: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matern_gram(xa: np.ndarray, xb: np.ndarray, params: KernelParams) -> np.ndarray:
-    ls = params.lengthscales
-    return _matern_gram_from_d2(sqdist(xa / ls, xb / ls), params.signal_variance)
-
-
 def _gram_tile(a: np.ndarray, b: np.ndarray, params: KernelParams, blocks: Blocks, out: np.ndarray) -> None:
     """Write the mixture Gram of the rows of a against the rows of b to out.
 
@@ -502,20 +493,44 @@ def _cholesky_in_place(m: np.ndarray, first: float, retries: int) -> tuple[np.nd
     return None, jitter
 
 
-def _log_marginal_likelihood(gram: np.ndarray, targets: np.ndarray) -> float:
-    """Exact Gaussian log evidence; -inf when the factorization fails."""
-    try:
-        c, low = cho_factor(gram, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        return -np.inf
-    diag = np.diag(c)
-    if not np.all(diag > 0):
-        return -np.inf
-    alpha = cho_solve((c, low), targets, check_finite=False)
-    n = targets.shape[0]
-    return float(
-        -0.5 * targets @ alpha - np.sum(np.log(diag)) - 0.5 * n * math.log(2.0 * math.pi)
-    )
+#: Coordinate sweeps per search start, and likelihood evaluations per
+#: fit; the cap binds on the largest spaces (D = 64).
+_FIT_SWEEPS = 2
+_MAX_FIT_EVALS = 2000
+
+
+def _training_gram(X: np.ndarray, blocks: Blocks):
+    """Return ``gram(theta, lam)``, which writes the noisy training Gram of X.
+
+    ``theta`` holds the log lengthscales, log signal variance and log
+    noise variance. Every call fills and returns the same n x n buffer.
+    The x-block's per-dimension squared differences and the linear and
+    indicator Grams are computed once; each is the same for (i, j) as
+    for (j, i), so every Gram is exactly symmetric.
+    """
+    n = X.shape[0]
+    dx = blocks.x.size
+    Xx = X[:, blocks.x]
+    diff2 = (Xx[:, None, :] - Xx[None, :, :]) ** 2 if dx else None
+    fixed = []
+    if blocks.y.size:
+        Y = X[:, blocks.y]
+        fixed.append(Y @ Y.T)
+    if blocks.z.size:
+        fixed.append(_indicator_gram(X[:, blocks.z], X[:, blocks.z]))
+    work = np.empty((n, n))
+    diag = np.diag_indices(n)
+
+    def gram(theta: np.ndarray, lam: float) -> np.ndarray:
+        grams = fixed
+        if dx:
+            d2 = np.tensordot(diff2, 1.0 / np.exp(theta[:dx]) ** 2, axes=([2], [0]))
+            grams = [_matern_gram_from_d2(d2, math.exp(theta[dx])), *fixed]
+        _compose(grams, lam, work)
+        work[diag] += math.exp(theta[dx + 1])
+        return work
+
+    return gram
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -575,15 +590,18 @@ def gp_fit(
     Notes
     -----
     Targets are standardized to zero mean and unit variance (std floored
-    at 1e-8) before fitting. Hyperparameters maximize the log marginal
-    likelihood via a fixed set of starts followed by coordinate-wise
-    golden-section refinement of the log lengthscales and log variances,
-    with the mixing weight scanned over ``config.lambda_grid``. The
-    search is deterministic and stops at ``config.max_fit_evals``
-    likelihood evaluations. The fitted likelihood is never below the
-    likelihood at the default hyperparameters because the first start
-    probes them. Gram factorizations escalate diagonal jitter from 1e-8
-    by factors of 10 up to 1e-2 before raising NumericalError.
+    at 1e-8) before fitting, scaled by a power of two so that they stay
+    finite up to the float64 limit. Hyperparameters maximize the log
+    marginal likelihood via a fixed set of starts, each followed by two
+    sweeps of coordinate-wise golden-section refinement of the log
+    lengthscales, the log signal variance (with an x-block) and the log
+    noise variance, then a scan of ``config.lambda_grid``. The search is
+    deterministic and stops after 2000 likelihood evaluations. The
+    fitted likelihood is never below the likelihood at the default
+    hyperparameters because the first start probes them. The final
+    factorization escalates diagonal jitter from 1e-8 by factors of 10
+    up to 1e-2 before raising NumericalError; without jitter, the log
+    likelihood is the evidence of the Gram the model holds.
     """
     if config is None:
         config = SurrogateConfig()
@@ -601,51 +619,39 @@ def gp_fit(
     if blocks is None:
         blocks = space.blocks
 
-    mean = float(np.mean(y))
-    std = max(float(np.std(y)), STD_FLOOR)
-    ys = (y - mean) / std
+    # scaling by a power of two is exact and keeps the squares finite
+    e = int(np.frexp(np.max(np.abs(y)))[1])
+    s = np.ldexp(y, -e)
+    mean_s = np.mean(s)
+    mean = float(np.ldexp(mean_s, e))
+    std = max(float(np.ldexp(np.std(s), e)), STD_FLOOR)
+    ys = (s - mean_s) / np.ldexp(std, -e)
 
     dx = int(blocks.x.size)
-    Xx = X[:, blocks.x]
-    # Per-dimension squared differences are fixed across the search, so the
-    # Matern gram for any lengthscale vector is a cheap weighted sum. The
-    # linear and indicator grams do not depend on the search at all.
-    diff2 = (Xx[:, None, :] - Xx[None, :, :]) ** 2 if dx else None
-    fixed = []
-    if blocks.y.size:
-        Y = X[:, blocks.y]
-        fixed.append(Y @ Y.T)
-    if blocks.z.size:
-        fixed.append(_indicator_gram(X[:, blocks.z], X[:, blocks.z]))
-    diag = np.diag_indices(n)
-    work = np.empty((n, n))
-
-    lam_relevant = bool(fixed)
-    lam_default = 0.5 if lam_relevant else 0.0
-
+    gram = _training_gram(X, blocks)
+    lam_relevant = bool(blocks.y.size or blocks.z.size)
     evals = 0
 
-    def likelihood(log_ls: np.ndarray, log_sv: float, log_nv: float, lam: float) -> float:
+    def likelihood(theta: np.ndarray, lam: float) -> float:
+        """Exact Gaussian log evidence; -inf when the factorization fails."""
         nonlocal evals
-        if evals >= config.max_fit_evals:
+        if evals >= _MAX_FIT_EVALS:
             return -np.inf
         evals += 1
-        grams = fixed
-        if dx:
-            ls = np.exp(log_ls)
-            d2 = np.tensordot(diff2, 1.0 / ls**2, axes=([2], [0]))
-            grams = [_matern_gram_from_d2(d2, math.exp(log_sv)), *fixed]
-        gram = _compose(grams, lam, work)
-        gram[diag] += math.exp(log_nv)
-        return _log_marginal_likelihood(gram, ys)
+        # the Gram is exactly symmetric, so its transpose is the same
+        # matrix in Fortran order, which potrf factors without a copy
+        c, info = dpotrf(gram(theta, lam).T, lower=1, clean=0, overwrite_a=1)
+        diag = np.diag(c)
+        if info or not np.all(diag > 0):
+            return -np.inf
+        alpha, _ = dpotrs(c, ys, lower=1)
+        return float(-0.5 * ys @ alpha - np.sum(np.log(diag)) - 0.5 * n * math.log(2.0 * math.pi))
 
-    lb = (math.log(config.lengthscale_bounds[0]), math.log(config.lengthscale_bounds[1]))
-    sb = (math.log(config.signal_bounds[0]), math.log(config.signal_bounds[1]))
-    nb = (math.log(config.noise_bounds[0]), math.log(config.noise_bounds[1]))
-
-    def clamp(v, bounds):
-        return min(max(v, bounds[0]), bounds[1])
-
+    # theta = (log lengthscales, log signal variance, log noise variance);
+    # the signal variance scales only the Matern Gram
+    box = [config.lengthscale_bounds] * dx + [config.signal_bounds, config.noise_bounds]
+    bounds = np.array([(math.log(lo), math.log(hi)) for lo, hi in box])
+    coords = range(dx + 2) if dx else [dx + 1]
     starts = [
         (DEFAULT_LENGTHSCALE, DEFAULT_SIGNAL_VARIANCE, DEFAULT_NOISE_VARIANCE),
         (0.15, 2.0, 1e-4),
@@ -653,74 +659,50 @@ def gp_fit(
         (0.05, 5.0, 1e-2),
     ]
 
-    best = None  # (ll, log_ls, log_sv, log_nv, lam)
-
-    def consider(ll, log_ls, log_sv, log_nv, lam):
-        nonlocal best
-        if best is None or ll > best[0]:
-            best = (ll, np.array(log_ls), log_sv, log_nv, lam)
-
+    best = None  # (ll, theta, lam)
     for ls0, sv0, nv0 in starts:
-        log_ls = np.full(dx, clamp(math.log(ls0), lb)) if dx else np.zeros(0)
-        log_sv = clamp(math.log(sv0), sb)
-        log_nv = clamp(math.log(nv0), nb)
-        lam = lam_default
-        ll = likelihood(log_ls, log_sv, log_nv, lam)
-        consider(ll, log_ls, log_sv, log_nv, lam)
-        for _ in range(config.n_sweeps):
-            if evals >= config.max_fit_evals:
+        log_start = [math.log(ls0)] * dx + [math.log(sv0), math.log(nv0)]
+        theta = np.clip(log_start, bounds[:, 0], bounds[:, 1])
+        lam = 0.5 if lam_relevant else 0.0
+        ll = likelihood(theta, lam)
+        for _ in range(_FIT_SWEEPS):
+            if evals >= _MAX_FIT_EVALS:
                 break
-            for k in range(dx):
+            for k in coords:
+                trial = theta.copy()
 
-                def f_ls(v, k=k):
-                    trial = log_ls.copy()
+                def along(v: float) -> float:
                     trial[k] = v
-                    return likelihood(trial, log_sv, log_nv, lam)
+                    return likelihood(trial, lam)
 
-                arg, val = _golden_section(f_ls, lb[0], lb[1])
+                arg, val = _golden_section(along, *bounds[k])
                 if val > ll:
-                    log_ls = log_ls.copy()
-                    log_ls[k] = arg
-                    ll = val
-                consider(ll, log_ls, log_sv, log_nv, lam)
-            if dx:
-                arg, val = _golden_section(
-                    lambda v: likelihood(log_ls, v, log_nv, lam), sb[0], sb[1]
-                )
-                if val > ll:
-                    log_sv, ll = arg, val
-                consider(ll, log_ls, log_sv, log_nv, lam)
-            arg, val = _golden_section(
-                lambda v: likelihood(log_ls, log_sv, v, lam), nb[0], nb[1]
-            )
-            if val > ll:
-                log_nv, ll = arg, val
-            consider(ll, log_ls, log_sv, log_nv, lam)
+                    theta[k], ll = arg, val
             if lam_relevant:
                 for g in config.lambda_grid:
-                    val = likelihood(log_ls, log_sv, log_nv, g)
+                    val = likelihood(theta, g)
                     if val > ll:
                         lam, ll = g, val
-                consider(ll, log_ls, log_sv, log_nv, lam)
-        if evals >= config.max_fit_evals:
+        # ll only rises within a start, so its end state is its best
+        if best is None or ll > best[0]:
+            best = (ll, theta, lam)
+        if evals >= _MAX_FIT_EVALS:
             break
 
-    ll_best, log_ls, log_sv, log_nv, lam = best
+    ll_best, theta, lam = best
     params = KernelParams(
-        lengthscales=np.exp(log_ls) if dx else np.ones(0),
-        signal_variance=math.exp(log_sv),
-        lam=lam if lam_relevant else 0.0,
-        noise_variance=math.exp(log_nv),
+        lengthscales=np.exp(theta[:dx]),
+        signal_variance=math.exp(theta[dx]),
+        lam=lam,
+        noise_variance=math.exp(theta[dx + 1]),
     )
 
     # Final factorization at the selected hyperparameters, escalating
     # jitter only if the noise floor alone is not enough.
-    gram = _compose([_matern_gram(Xx, Xx, params), *fixed] if dx else fixed, params.lam, work)
-    gram[diag] += params.noise_variance
-    chol, jitter = _cholesky_in_place(gram, 1e-8, 7)
+    chol, jitter = _cholesky_in_place(gram(theta, lam), 1e-8, 7)
     if chol is None:
         raise NumericalError("kernel matrix is not positive definite even with jitter 1e-2")
-    alpha = cho_solve((chol, True), ys, check_finite=False)
+    alpha, _ = dpotrs(chol, ys, lower=1)
     return GpModel(
         inputs=X,
         targets=y,

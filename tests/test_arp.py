@@ -53,6 +53,9 @@ def test_labeling_puts_low_values_in_good_cluster():
     vals = np.array([0.1, 0.2, 5.0, 5.1, 5.2])
     labels = label_observations(vals)
     np.testing.assert_array_equal(labels, [True, True, False, False, False])
+    # unscaled, the squares of values near the float64 limit overflow
+    vals = np.array([1e308, -1e308] * 8)
+    np.testing.assert_array_equal(label_observations(vals), vals < 0)
 
 
 def test_labeling_rejects_degenerate_inputs():

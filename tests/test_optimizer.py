@@ -88,6 +88,8 @@ def test_config_from_dict_round_trip_and_unknown_keys():
         config_from_dict({"turbo": {"length_mni": 0.25}})
     with pytest.raises(ConfigError):
         config_from_dict({"flags": {"turbo": True}})
+    with pytest.raises(ConfigError):
+        config_from_dict({"surrogate": {"n_sweeps": 2}})
 
 
 def test_readme_config_document_is_the_default_config():
@@ -246,6 +248,9 @@ def test_extreme_values_do_not_break_the_loop(pattern):
     # -inf is a failed evaluation, recorded as +inf, never the best value
     assert all(ob_.value != -math.inf for ob_ in opt.history)
     assert opt.best()[1] != -math.inf
+    m = opt.model
+    assert np.all(np.isfinite([m.target_mean, m.target_std, m.log_likelihood]))
+    assert np.all(np.isfinite(m._alpha))
 
 
 @pytest.mark.parametrize("finite_per_run", [0, 1])

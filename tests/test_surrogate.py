@@ -270,7 +270,7 @@ def test_noise_free_interpolation_on_smooth_curve():
     assert np.abs(mu - y).max() < 1e-3
 
 
-def test_fit_never_does_worse_than_default_parameters():
+def test_fit_never_does_worse_than_default_parameters(monkeypatch):
     space = mixed_space()
     rng = np.random.default_rng(19)
     X = sample_inputs(rng, space, 14)
@@ -278,8 +278,42 @@ def test_fit_never_does_worse_than_default_parameters():
     model = gp_fit(X, y, space)
     # the search evaluates the default start first and keeps the best
     # point seen, so a truncated budget can never beat the full one
-    stub = gp_fit(X, y, space, config=SurrogateConfig(max_fit_evals=10))
+    monkeypatch.setattr(surrogate, "_MAX_FIT_EVALS", 10)
+    stub = gp_fit(X, y, space)
     assert model.log_likelihood >= stub.log_likelihood - 1e-9
+
+
+@pytest.mark.parametrize("present", ["x", "xy", "xz", "xyz", "z"])
+def test_fitted_log_likelihood_is_the_evidence_of_the_model_gram(present):
+    space = SearchSpace([p for key in present for p in BLOCK_PARAMS[key]])
+    rng = np.random.default_rng(41)
+    n = 15
+    X = sample_inputs(rng, space, n)
+    y = np.sin(3.0 * X.sum(axis=1)) + 0.1 * rng.standard_normal(n)
+    model = gp_fit(X, y, space)
+    assert model.jitter == 0.0
+    p = model.params
+    K = mixture_gram(X, None, p, space.blocks) + p.noise_variance * np.eye(n)
+    ys = (y - model.target_mean) / model.target_std
+    sign, logdet = np.linalg.slogdet(K)
+    assert sign == 1.0
+    ll = -0.5 * ys @ np.linalg.solve(K, ys) - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi)
+    assert model.log_likelihood == pytest.approx(ll, rel=1e-9, abs=0.0)
+    # the fit factors the transpose of its Gram in place, which is the
+    # same matrix only if the Gram is exactly symmetric
+    theta = np.log([*p.lengthscales, p.signal_variance, p.noise_variance])
+    G = surrogate._training_gram(X, space.blocks)(theta, p.lam)
+    assert np.array_equal(G, G.T)
+
+
+def test_targets_at_the_float64_limit_give_a_finite_model():
+    space = mixed_space()
+    rng = np.random.default_rng(5)
+    X = sample_inputs(rng, space, 16)
+    model = gp_fit(X, np.array([1e308, -1e308] * 8), space)
+    assert np.all(np.isfinite([model.target_mean, model.target_std, model.log_likelihood]))
+    assert np.all(np.isfinite(model._alpha))
+    assert np.all(np.isfinite(gp_mean(model, np.vstack([X, sample_inputs(rng, space, 8)]))))
 
 
 def test_fitted_parameters_respect_bounds():
