@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .space import Point, SearchSpace
+from .space import Point, SearchSpace, is_integer
 from .surrogate import sqdist
 
 
@@ -52,8 +52,10 @@ class ArpConfig:
     svm_c: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.activation_threshold is not None and self.activation_threshold < 4:
-            raise ValueError("activation_threshold must be at least 4")
+        if self.activation_threshold is not None and (
+            not is_integer(self.activation_threshold) or self.activation_threshold < 4
+        ):
+            raise ValueError("activation_threshold must be an integer of at least 4")
         if not 0.0 < self.fallback_fraction <= 1.0:
             raise ValueError("fallback_fraction must lie in (0, 1]")
         if self.svm_c <= 0:

@@ -34,7 +34,7 @@ from . import bandit as bandit_mod
 from . import turbo as turbo_mod
 from .arp import ArpConfig, DegenerateValuesError, RegionClassifier
 from .bandit import BanditConfig, BanditState
-from .space import Blocks, Point, SearchSpace
+from .space import Blocks, Point, SearchSpace, is_integer
 from .surrogate import GpModel, SurrogateConfig, gp_fit, gp_mean, gp_sample
 from .turbo import TrustRegionConfig
 
@@ -75,13 +75,17 @@ class OptimizerConfig:
     enable_bandit: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("batch_size", "max_iterations", "init_points", "seed"):
+            value = getattr(self, name)
+            if not (is_integer(value) or (value is None and name == "init_points")):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
         if self.init_points is not None and self.init_points < self.batch_size:
             raise ConfigError("init_points must be at least batch_size")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
 
     def resolved_init_points(self, dim: int) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -36,6 +37,11 @@ Point = dict[str, Any]
 
 class ValidationError(ValueError):
     """A parameter value or specification violates its constraints."""
+
+
+def is_integer(value: Any) -> bool:
+    """True for a Python or NumPy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _round_half_down(x: float) -> int:
@@ -83,6 +89,9 @@ class ParamSpec:
         if self.kind in ("real", "integer"):
             if self.lo is None or self.hi is None:
                 raise ValidationError(f"parameter {self.name!r}: lo and hi are required")
+            for bound in (self.lo, self.hi):
+                if isinstance(bound, bool) or not isinstance(bound, numbers.Real):
+                    raise ValidationError(f"parameter {self.name!r}: bounds must be numbers, got {bound!r}")
             if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
                 raise ValidationError(f"parameter {self.name!r}: bounds must be finite")
             if not self.lo < self.hi:
@@ -341,6 +350,8 @@ def space_from_dict(doc: dict) -> SearchSpace:
         if unknown:
             raise ValidationError(f"unknown parameter fields: {sorted(unknown)}")
         cats = entry.get("categories")
+        if cats is not None and not isinstance(cats, list):
+            raise ValidationError(f"parameter {entry.get('name')!r}: categories must be a list, got {cats!r}")
         specs.append(
             ParamSpec(
                 name=entry.get("name", ""),

@@ -30,15 +30,19 @@ tile-sized, and the Gram has the bits a whole-matrix assembly gives.
 Within a tile, the matrix products run on the whole tile and the
 elementwise work (the Matern transform, the indicator counts and the
 composition) on pieces of whole rows of about ``_PIECE_ELEMENTS``
-entries (512 KB), which stay in cache. The posterior covariance of a
-Thompson draw exists only as its lower triangle: each row tile of the
-prior Gram is built, and the explained part subtracted, only up to the
-tile's last column on or below the diagonal, which is all that the
-Cholesky factor and the eigendecomposition read. The factor overwrites
-it through LAPACK ``potrf``, with the jitter escalation of a copying
-factorization. A draw over q candidates therefore holds one q x q
-matrix plus a few tiles. A public square Gram is the lower triangle
-mirrored, so it is exactly symmetric.
+entries (512 KB), which stay in cache.
+
+Every matrix the module factors holds its values in its C-order upper
+triangle. That triangle is the lower triangle of the Fortran-ordered
+transpose, which LAPACK ``potrf`` overwrites with the lower Cholesky
+factor in place; a failed attempt refills the matrix and retries with
+diagonal jitter. The posterior covariance of a Thompson draw exists
+only as that triangle: each row tile of the prior Gram is built, and
+the explained part subtracted, from the diagonal of the tile's first
+row rightwards, and everything below the diagonal is zero, so the
+factor needs no cleanup. A draw over q candidates therefore holds one
+q x q matrix plus a few tiles. A public square Gram is the upper
+triangle mirrored, so it is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -271,26 +275,14 @@ def _square_tiles(n: int) -> list[slice]:
     return [slice(i, min(i + side, n)) for i in range(0, n, side)]
 
 
-def _copy_triangle(m: np.ndarray, down: bool) -> None:
-    """Copy one strict triangle of square m onto the other, tile by tile.
-
-    ``down=False`` mirrors the lower triangle onto the upper. ``down=True``
-    moves the upper triangle onto the lower and zeros the upper, which
-    turns an upper factor into its transpose in place.
-    """
+def _copy_triangle(m: np.ndarray) -> None:
+    """Mirror the strict upper triangle of square m onto the lower, tile by tile."""
     tiles = _square_tiles(m.shape[0])
     for b, rows in enumerate(tiles):
         for cols in tiles[:b]:
-            if down:
-                m[rows, cols] = m[cols, rows].T
-                m[cols, rows] = 0.0
-            else:
-                m[cols, rows] = m[rows, cols].T
+            m[rows, cols] = m[cols, rows].T
         block = m[rows, rows]
-        upper = np.tri(block.shape[0], k=-1, dtype=bool).T
-        np.copyto(block, block.T, where=upper.T if down else upper)
-        if down:
-            block[upper] = 0.0
+        np.copyto(block, block.T, where=np.tri(block.shape[0], k=-1, dtype=bool))
 
 
 def _matern_gram_from_d2(d2: np.ndarray, signal_variance: float) -> np.ndarray:
@@ -381,16 +373,17 @@ def _gram_tile(a: np.ndarray, b: np.ndarray, params: KernelParams, blocks: Block
 def _fill_gram(A: np.ndarray, B: np.ndarray | None, params: KernelParams, blocks: Blocks) -> np.ndarray:
     """Gram of A against B, assembled one row tile at a time.
 
-    With B None, only the lower triangle of the square Gram of A is
-    filled in: each row tile gets the columns up to its last row, and the
-    entries above the diagonal tiles are left unset.
+    With B None, only the upper triangle of the square Gram of A is
+    filled in, into a zeroed buffer: each row tile gets the columns from
+    its first row rightwards. Below the diagonal tiles the result is
+    zero; inside them, the strict lower triangle holds Gram entries.
     """
-    lower = B is None
-    if lower:
+    upper = B is None
+    if upper:
         B = A
-    out = np.empty((A.shape[0], B.shape[0]))
+    out = (np.zeros if upper else np.empty)((A.shape[0], B.shape[0]))
     for rows in _row_tiles(*out.shape):
-        cols = slice(0, rows.stop if lower else B.shape[0])
+        cols = slice(rows.start if upper else 0, B.shape[0])
         _gram_tile(A[rows], B[cols], params, blocks, out[rows, cols])
     return out
 
@@ -406,7 +399,7 @@ def mixture_gram(
     Equivalent to evaluating :func:`mixture_kernel` on every pair, but
     assembled blockwise in vector form, one row tile of the output at a
     time, so temporaries stay tile-sized. Pass ``inputs2=None`` for the
-    square Gram of one set: its lower triangle is computed and mirrored,
+    square Gram of one set: its upper triangle is computed and mirrored,
     so the result is exactly symmetric.
 
     Parameters
@@ -429,7 +422,7 @@ def mixture_gram(
     if inputs2 is not None:
         return _fill_gram(A, np.atleast_2d(np.asarray(inputs2, dtype=float)), params, blocks)
     out = _fill_gram(A, None, params, blocks)
-    _copy_triangle(out, down=False)
+    _copy_triangle(out)
     return out
 
 
@@ -444,7 +437,8 @@ class GpModel:
     Stores the training design in warped coordinates, the standardized
     Cholesky factorization, and everything needed to evaluate posterior
     quantities. ``target_mean`` and ``target_std`` undo the internal
-    standardization.
+    standardization. ``_chol`` is the lower Cholesky factor of the
+    training Gram in Fortran order, exactly zero above the diagonal.
     """
 
     inputs: np.ndarray
@@ -463,33 +457,29 @@ class GpModel:
         return self.inputs.shape[0]
 
 
-def _cholesky_in_place(m: np.ndarray, first: float, retries: int) -> tuple[np.ndarray | None, float]:
-    """Lower Cholesky factor of a symmetric matrix, computed in m, with jitter if needed.
+def _cholesky(fill, first: float, retries: int) -> tuple[np.ndarray | None, float]:
+    """Lower Cholesky factor of the matrix ``fill()`` returns, in place, with jitter if needed.
 
-    Only the lower triangle of the C-contiguous float64 matrix m is read.
-    It is mirrored onto the upper, so that LAPACK ``potrf``, factoring
-    the Fortran-ordered view ``m.T``, reads the entries the lower
-    triangle holds. The first attempt factors m itself; on failure m is
-    restored from its untouched strict lower triangle and the attempt is
-    retried with ``first``, ``10 * first``, ... added to the diagonal,
-    ``retries`` times in all. On success m holds the factor in its lower
-    triangle, zeros above, and is returned with the jitter it took. When
-    every attempt fails, returns None and the last jitter tried, and m
-    is left as it came in, its upper triangle mirroring the lower.
+    ``fill()`` returns a C-contiguous float64 square matrix m whose upper
+    triangle holds the symmetric matrix. LAPACK ``potrf`` factors the
+    Fortran-ordered view ``m.T``, whose lower triangle that is, in place.
+    An attempt fails unless ``potrf`` reports success and the factor's
+    diagonal is positive (a NaN pivot passes the first test). Each failure
+    drops m and calls ``fill()`` again, adding ``first``, ``10 * first``,
+    ... to the diagonal, ``retries`` times in all. Returns ``m.T``, whose
+    strict upper triangle is m's untouched strict lower, and the jitter it
+    took; or None and the last jitter tried.
     """
-    diag = m.diagonal().copy()
     jitter = 0.0
     for k in range(retries + 1):
-        _copy_triangle(m, down=False)
+        m = fill()
         if k:
             jitter = first if k == 1 else 10.0 * jitter
-            np.fill_diagonal(m, diag + jitter)
-        _, info = dpotrf(m.T, lower=1, clean=0, overwrite_a=1)
-        if info == 0:
-            _copy_triangle(m, down=True)
-            return m, jitter
-        np.fill_diagonal(m, diag)
-    _copy_triangle(m, down=False)
+            m[np.diag_indices_from(m)] += jitter
+        c, info = dpotrf(m.T, lower=1, clean=0, overwrite_a=1)
+        if info == 0 and np.all(np.diag(c) > 0):
+            return c, jitter
+        del m, c  # before the next fill allocates its matrix
     return None, jitter
 
 
@@ -638,14 +628,11 @@ def gp_fit(
         if evals >= _MAX_FIT_EVALS:
             return -np.inf
         evals += 1
-        # the Gram is exactly symmetric, so its transpose is the same
-        # matrix in Fortran order, which potrf factors without a copy
-        c, info = dpotrf(gram(theta, lam).T, lower=1, clean=0, overwrite_a=1)
-        diag = np.diag(c)
-        if info or not np.all(diag > 0):
+        c, _ = _cholesky(lambda: gram(theta, lam), 0.0, 0)
+        if c is None:
             return -np.inf
         alpha, _ = dpotrs(c, ys, lower=1)
-        return float(-0.5 * ys @ alpha - np.sum(np.log(diag)) - 0.5 * n * math.log(2.0 * math.pi))
+        return float(-0.5 * ys @ alpha - np.sum(np.log(np.diag(c))) - 0.5 * n * math.log(2.0 * math.pi))
 
     # theta = (log lengthscales, log signal variance, log noise variance);
     # the signal variance scales only the Matern Gram
@@ -680,6 +667,8 @@ def gp_fit(
                     theta[k], ll = arg, val
             if lam_relevant:
                 for g in config.lambda_grid:
+                    if g == lam:  # its likelihood is ll already
+                        continue
                     val = likelihood(theta, g)
                     if val > ll:
                         lam, ll = g, val
@@ -699,7 +688,7 @@ def gp_fit(
 
     # Final factorization at the selected hyperparameters, escalating
     # jitter only if the noise floor alone is not enough.
-    chol, jitter = _cholesky_in_place(gram(theta, lam), 1e-8, 7)
+    chol, jitter = _cholesky(lambda: np.triu(gram(theta, lam)), 1e-8, 7)
     if chol is None:
         raise NumericalError("kernel matrix is not positive definite even with jitter 1e-2")
     alpha, _ = dpotrs(chol, ys, lower=1)
@@ -733,12 +722,12 @@ def _check_queries(model: GpModel, queries: np.ndarray) -> np.ndarray:
 
 
 def _raw_posterior(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized latent posterior mean and the lower triangle of its covariance.
+    """Standardized latent posterior mean and the upper triangle of its covariance.
 
-    The prior covariance's lower triangle is built in its output buffer,
+    The prior covariance's upper triangle is built in its output buffer,
     and the explained part ``w.T @ w`` is subtracted from it one row tile
-    at a time. Only the lower triangle is set; the entries above the
-    diagonal tiles are not, and callers must not read them.
+    at a time. Everything below the diagonal is exactly zero, so the
+    matrix is ready for :func:`_cholesky` and its factor for a product.
     """
     Q = _check_queries(model, queries)
     ks = mixture_gram(model.inputs, Q, model.params, model.blocks)
@@ -747,7 +736,9 @@ def _raw_posterior(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.
     del ks
     cov = _fill_gram(Q, None, model.params, model.blocks)
     for rows in _row_tiles(*cov.shape):
-        cov[rows, : rows.stop] -= w[:, rows].T @ w[:, : rows.stop]
+        cov[rows, rows.start :] -= w[:, rows].T @ w[:, rows.start :]
+        block = cov[rows, rows]
+        block[np.tri(block.shape[0], k=-1, dtype=bool)] = 0.0
     return mean, cov
 
 
@@ -768,9 +759,9 @@ def gp_posterior(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.nd
         in target units. Observation noise is not added.
     """
     mean, cov = _raw_posterior(model, queries)
-    vals, vecs = np.linalg.eigh(cov, UPLO="L")
+    vals, vecs = np.linalg.eigh(cov, UPLO="U")
     cov = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-    _copy_triangle(cov, down=False)
+    _copy_triangle(cov)
     cov *= model.target_std**2
     return model.target_mean + model.target_std * mean, cov
 
@@ -805,27 +796,33 @@ def gp_sample(
 
     Notes
     -----
-    Only the lower triangle of the posterior covariance is assembled, in
+    Only the upper triangle of the posterior covariance is assembled, in
     one q x q buffer, a row tile at a time: each tile's matrix products
     run whole, and its elementwise kernel work in cache-sized pieces of
     whole rows. The covariance root is its Cholesky factor, computed in
-    place by LAPACK ``potrf`` from that triangle. Jitter is added to the
-    diagonal only if the factorization fails, from 1e-10 by factors of
-    10 up to 1e-5, and the root falls back to an eigendecomposition with
-    clipped eigenvalues, so rank-deficient covariances (duplicate or
-    fully explained points) are handled without error. Memory is one
-    q x q float64 matrix plus tiles of about 8 MB each, and
-    ``O(n q)`` for the cross covariances with the n training points;
-    only the eigendecomposition fallback allocates more.
+    place by LAPACK ``potrf`` from that triangle. If the factorization
+    fails, the covariance is rebuilt and jitter added to its diagonal,
+    from 1e-10 by factors of 10 up to 1e-5; past that, the root is an
+    eigendecomposition of one more rebuild with clipped eigenvalues, so
+    rank-deficient covariances (duplicate or fully explained points) are
+    handled without error. Memory is one q x q float64 matrix plus tiles
+    of about 8 MB each, and ``O(n q)`` for the cross covariances with the
+    n training points; only the eigendecomposition fallback allocates
+    more.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    mean, cov = _raw_posterior(model, queries)
-    q = mean.shape[0]
-    root, _ = _cholesky_in_place(cov, 1e-10, 6)
+    mean = None
+
+    def fill() -> np.ndarray:
+        nonlocal mean
+        mean, cov = _raw_posterior(model, queries)
+        return cov
+
+    root, _ = _cholesky(fill, 1e-10, 6)
     if root is None:
-        vals, vecs = np.linalg.eigh(cov, UPLO="L")
+        vals, vecs = np.linalg.eigh(fill(), UPLO="U")
         root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    z = rng.standard_normal((q, count))
+    z = rng.standard_normal((mean.shape[0], count))
     draws = mean[:, None] + root @ z
     return model.target_mean + model.target_std * draws.T

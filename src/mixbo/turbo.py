@@ -26,7 +26,7 @@ from importlib import resources
 
 import numpy as np
 
-from .space import SearchSpace
+from .space import SearchSpace, is_integer
 from .surrogate import GpModel
 
 _SOBOL_BITS = 32
@@ -63,12 +63,12 @@ class TrustRegionConfig:
                 "need 0 < length_min < length_init <= length_max, got "
                 f"{self.length_min}, {self.length_init}, {self.length_max}"
             )
-        if self.success_tolerance < 1:
-            raise ValueError("success_tolerance must be at least 1")
-        if self.failure_tolerance is not None and self.failure_tolerance < 1:
-            raise ValueError("failure_tolerance must be at least 1")
-        if self.n_candidates is not None and self.n_candidates < 1:
-            raise ValueError("n_candidates must be at least 1")
+        if not is_integer(self.success_tolerance) or self.success_tolerance < 1:
+            raise ValueError("success_tolerance must be an integer of at least 1")
+        for name in ("failure_tolerance", "n_candidates"):
+            value = getattr(self, name)
+            if value is not None and (not is_integer(value) or value < 1):
+                raise ValueError(f"{name} must be an integer of at least 1")
         if self.perturbation_prob is not None and not (0.0 < self.perturbation_prob <= 1.0):
             raise ValueError("perturbation_prob must lie in (0, 1]")
 

@@ -327,6 +327,29 @@ def test_run_subcommand_survives_a_partly_failing_command(tmp_path, capsys):
     assert result["best_point"]["m"] == "a"
 
 
+@pytest.mark.parametrize(
+    "space_doc,config_doc",
+    [
+        (SPACE_DOC, {"batch_size": 2.5}),
+        (SPACE_DOC, {"max_iterations": 1.5}),
+        (SPACE_DOC, {"batch_size": 2, "max_iterations": 1, "seed": True}),
+        (SPACE_DOC, {"batch_size": 2, "max_iterations": 1, "arp": {"activation_threshold": 5.5}}),
+        ({"params": [{"name": "x", "kind": "real", "lo": "0", "hi": 1}]}, {"batch_size": 2, "max_iterations": 1}),
+        ({"params": [{"name": "c", "kind": "categorical", "categories": "abc"}]}, {"batch_size": 2, "max_iterations": 1}),
+    ],
+    ids=["batch_size", "max_iterations", "seed", "activation_threshold", "lo", "categories"],
+)
+def test_run_rejects_mistyped_documents_without_a_traceback(tmp_path, space_doc, config_doc):
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(space_doc))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config_doc))
+    cmd = [sys.executable, "-m", "mixbo.cli", "run", "--space", str(space_path), "--config", str(cfg_path)]
+    out = subprocess.run(cmd + ["--cmd", "echo 1"], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 1, out.stdout
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr, out.stderr
+
+
 # --- argument handling ---------------------------------------------------------
 
 

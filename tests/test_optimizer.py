@@ -55,6 +55,17 @@ def test_config_rejects_bad_values():
         OptimizerConfig(init_points=-1)
     with pytest.raises(ConfigError):
         OptimizerConfig(seed=-1)
+    # counts are integers: no floats, not even integral ones, and no bools
+    for bad in (
+        {"batch_size": 2.5},
+        {"batch_size": True},
+        {"max_iterations": 1.5},
+        {"init_points": 8.0},
+        {"seed": True},
+    ):
+        with pytest.raises(ConfigError):
+            OptimizerConfig(**bad)
+    assert OptimizerConfig(batch_size=np.int64(4), seed=np.int64(3)).seed == 3
 
 
 def test_resolved_init_points_formula():
@@ -90,6 +101,18 @@ def test_config_from_dict_round_trip_and_unknown_keys():
         config_from_dict({"flags": {"turbo": True}})
     with pytest.raises(ConfigError):
         config_from_dict({"surrogate": {"n_sweeps": 2}})
+    for bad in (
+        {"batch_size": 2.5},
+        {"max_iterations": 1.5},
+        {"seed": True},
+        {"init_points": 16.5},
+        {"turbo": {"success_tolerance": 2.5}},
+        {"turbo": {"failure_tolerance": True}},
+        {"turbo": {"n_candidates": 100.0}},
+        {"arp": {"activation_threshold": 5.5}},
+    ):
+        with pytest.raises(ConfigError):
+            config_from_dict(bad)
 
 
 def test_readme_config_document_is_the_default_config():

@@ -241,6 +241,19 @@ def test_space_from_dict_rejects_unknown_fields():
         space_from_dict(doc)
 
 
+def test_space_documents_are_type_checked():
+    for entry in (
+        {"name": "x", "kind": "real", "lo": "0", "hi": 1},
+        {"name": "x", "kind": "real", "lo": False, "hi": 1},
+        {"name": "n", "kind": "integer", "lo": 0, "hi": True},
+        {"name": "x", "kind": "real", "lo": [0], "hi": 1},
+        {"name": "c", "kind": "categorical", "categories": "abc"},
+        {"name": "c", "kind": "categorical", "categories": {"a": 1, "b": 2}},
+    ):
+        with pytest.raises(ValidationError):
+            space_from_dict({"params": [entry]})
+
+
 def test_space_from_json_parses_document():
     text = json.dumps(mixed_space().to_dict())
     sp = space_from_json(text)

@@ -299,8 +299,8 @@ def test_fitted_log_likelihood_is_the_evidence_of_the_model_gram(present):
     assert sign == 1.0
     ll = -0.5 * ys @ np.linalg.solve(K, ys) - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi)
     assert model.log_likelihood == pytest.approx(ll, rel=1e-9, abs=0.0)
-    # the fit factors the transpose of its Gram in place, which is the
-    # same matrix only if the Gram is exactly symmetric
+    # the fit factors the upper triangle of its Gram, which is the whole
+    # Gram only if it is exactly symmetric
     theta = np.log([*p.lengthscales, p.signal_variance, p.noise_variance])
     G = surrogate._training_gram(X, space.blocks)(theta, p.lam)
     assert np.array_equal(G, G.T)
@@ -370,14 +370,21 @@ def test_gp_mean_agrees_with_posterior_mean():
                 fn(model, bad)
 
 
-def poison_upper_triangle(monkeypatch):
-    """Make every lower-triangle Gram come with NaN above the diagonal."""
+def poison_lower_triangle(monkeypatch):
+    """Make every upper-triangle Gram come with NaN below the diagonal of its diagonal tiles.
+
+    Those are the entries below the diagonal that the fill computes; the
+    rest of the lower triangle is zero.
+    """
     fill = surrogate._fill_gram
 
     def poisoned(A, B, params, blocks):
         out = fill(A, B, params, blocks)
         if B is None:
-            out[np.triu_indices(out.shape[0], 1)] = np.nan
+            for rows in surrogate._row_tiles(*out.shape):
+                assert not np.any(out[rows, : rows.start])
+                block = out[rows, rows]
+                block[np.tri(block.shape[0], k=-1, dtype=bool)] = np.nan
         return out
 
     monkeypatch.setattr(surrogate, "_fill_gram", poisoned)
@@ -397,7 +404,7 @@ TILINGS = [(23, None, None, None), (23, 2, 16, 1), (24, 2, 96, 1), (24, 2, 96, 4
 
 
 @pytest.mark.parametrize("q,align,tile,piece", TILINGS)
-def test_raw_posterior_lower_triangle_is_prior_gram_minus_update(q, align, tile, piece, monkeypatch):
+def test_raw_posterior_upper_triangle_is_prior_gram_minus_update(q, align, tile, piece, monkeypatch):
     space = mixed_space()
     rng = np.random.default_rng(13)
     model = gp_fit(sample_inputs(rng, space, 10), rng.standard_normal(10), space)
@@ -413,11 +420,12 @@ def test_raw_posterior_lower_triangle_is_prior_gram_minus_update(q, align, tile,
         want[rows] -= w[:, rows].T @ w
     if align is None:
         assert np.array_equal(want, mixture_gram(Q, Q, model.params, model.blocks) - w.T @ w)
-    poison_upper_triangle(monkeypatch)
+    poison_lower_triangle(monkeypatch)
     _, cov = surrogate._raw_posterior(model, Q)
-    lower = np.tril_indices(q)
-    assert np.array_equal(cov[lower], want[lower])
-    # nothing downstream reads above the diagonal
+    upper = np.triu_indices(q)
+    assert np.array_equal(cov[upper], want[upper])
+    assert not np.any(np.tril(cov, -1))
+    # nothing downstream reads below the diagonal
     _, got = gp_posterior(model, Q)
     assert np.array_equal(got, got.T)
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-10)
@@ -436,8 +444,8 @@ def test_square_gram_is_exactly_symmetric():
     p = KernelParams(lengthscales=rng.uniform(0.2, 1.0, size=32), signal_variance=1.3, lam=0.5)
     G = mixture_gram(H, None, p, space.blocks)
     assert np.array_equal(G, G.T)
-    lower = np.tril_indices(700)
-    assert np.array_equal(G[lower], mixture_gram(H, H, p, space.blocks)[lower])
+    upper = np.triu_indices(700)
+    assert np.array_equal(G[upper], mixture_gram(H, H, p, space.blocks)[upper])
 
 
 def test_gp_sample_over_several_row_tiles_matches_numpy_cholesky(monkeypatch):
@@ -449,7 +457,7 @@ def test_gp_sample_over_several_row_tiles_matches_numpy_cholesky(monkeypatch):
     mean, _ = gp_posterior(model, Q)
     w = solve_triangular(model._chol, mixture_gram(model.inputs, Q, model.params, model.blocks), lower=True)
     cov = mixture_gram(Q, Q, model.params, model.blocks) - w.T @ w
-    cov = np.tril(cov) + np.tril(cov, -1).T
+    cov = np.triu(cov) + np.triu(cov, 1).T
     root, _ = reference_cholesky(cov, 1e-10, 6)
     z = np.random.default_rng(6).standard_normal((q, 3))
     want = mean + model.target_std * (root @ z).T
@@ -472,14 +480,23 @@ def reference_cholesky(m, first, retries):
     return None, jitter
 
 
-def check_factor(m, first=1e-10, retries=6):
+def check_factor(m, below=None, first=1e-10, retries=6):
+    """Factor m with the helper, its lower triangle replaced by ``below``'s if given."""
     want, want_jitter = reference_cholesky(m, first, retries)
-    work = m.copy()
-    got, jitter = surrogate._cholesky_in_place(work, first, retries)
-    assert got is work and jitter == want_jitter
-    assert got.flags.c_contiguous
-    assert not np.any(np.triu(got, 1))
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    made = m.copy() if below is None else np.triu(m) + np.tril(below, -1)
+    filled = []
+
+    def fill():
+        filled.append(made.copy())
+        return filled[-1]
+
+    got, jitter = surrogate._cholesky(fill, first, retries)
+    assert jitter == want_jitter
+    # the factor is the transpose of the last fill, and its strict upper
+    # triangle is what the fill held below the diagonal, untouched
+    assert got.base is filled[-1] and got.flags.f_contiguous
+    assert np.array_equal(np.triu(got, 1), np.triu(made.T, 1))
+    np.testing.assert_allclose(np.tril(got), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
     return jitter
 
 
@@ -491,8 +508,8 @@ def test_cholesky_in_place_matches_numpy(tile, monkeypatch):
     a = rng.standard_normal((11, 11))
     spd = a @ a.T + 11.0 * np.eye(11)
     assert check_factor(spd) == 0.0
-    # only the lower triangle is read
-    assert check_factor(spd + np.triu(rng.standard_normal((11, 11)), 1)) == 0.0
+    # only the upper triangle is read
+    assert check_factor(spd, below=rng.standard_normal((11, 11))) == 0.0
     # duplicated rows make the Gram singular; both take the same jitter
     space = mixed_space()
     H = sample_inputs(rng, space, 6)
@@ -509,10 +526,42 @@ def test_cholesky_in_place_returns_input_unchanged_on_failure(tile, monkeypatch)
     a = rng.standard_normal((9, 9))
     indefinite = a + a.T
     indefinite[np.diag_indices(9)] -= 20.0
-    work = indefinite.copy()
-    got, jitter = surrogate._cholesky_in_place(work, 1e-10, 6)
+    source = indefinite.copy()
+    fills = []
+    got, jitter = surrogate._cholesky(lambda: fills.append(indefinite.copy()) or fills[-1], 1e-10, 6)
+    # it gives up after retries + 1 fills, each a fresh matrix, and writes
+    # only into the matrices the fill handed it, never into what they came from
     assert got is None and jitter == pytest.approx(1e-5)
-    assert np.array_equal(work, indefinite)
+    assert len(fills) == 7
+    assert len({id(f) for f in fills}) == 7
+    assert np.array_equal(indefinite, source)
+
+
+def test_cholesky_counts_a_nan_pivot_as_a_failure():
+    # potrf can report success on a NaN pivot; the factor's diagonal cannot
+    m = np.eye(4)
+    m[1, 2] = np.nan
+    fills = []
+    got, _ = surrogate._cholesky(lambda: fills.append(m.copy()) or fills[-1], 1e-10, 2)
+    assert got is None and len(fills) == 3
+
+
+def test_gp_sample_falls_back_to_eigh_when_every_factorization_fails(monkeypatch):
+    space = mixed_space()
+    rng = np.random.default_rng(17)
+    model = gp_fit(sample_inputs(rng, space, 12), rng.standard_normal(12), space)
+    Q = sample_inputs(rng, space, 6)
+    mean, cov = gp_posterior(model, Q)
+    fills = []
+    raw = surrogate._raw_posterior
+    monkeypatch.setattr(surrogate, "_raw_posterior", lambda *a: fills.append(1) or raw(*a))
+    monkeypatch.setattr(surrogate, "dpotrf", lambda a, **kw: (a, 1))
+    draws = gp_sample(model, Q, np.random.default_rng(2), count=4000)
+    assert np.all(np.isfinite(draws))
+    assert len(fills) == 6 + 2
+    # the eigendecomposition root draws from the posterior all the same
+    np.testing.assert_allclose(draws.mean(axis=0), mean, rtol=0.0, atol=0.1 * np.sqrt(cov.diagonal().max()))
+    np.testing.assert_allclose(np.cov(draws.T), cov, rtol=0.0, atol=0.1 * cov.diagonal().max())
 
 
 def test_gp_sample_holds_about_one_candidate_covariance():
