@@ -11,8 +11,8 @@ maintains the trust region and generates Sobol candidates,
 and :mod:`mixbo.cli` exposes everything on the command line.
 """
 
-from .arp import ArpConfig, DegenerateValuesError, RegionClassifier
-from .bandit import BanditConfig, BanditState, ts_select, update_rewards
+from .arp import DegenerateValuesError, RegionClassifier
+from .bandit import BanditState, ts_select, update_rewards
 from .bench import (
     ARMS,
     Objective,
@@ -47,7 +47,6 @@ from .surrogate import (
     GpModel,
     KernelParams,
     NumericalError,
-    SurrogateConfig,
     gp_fit,
     gp_posterior,
     gp_sample,
@@ -73,8 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ARMS",
-    "ArpConfig",
-    "BanditConfig",
     "BanditState",
     "Blocks",
     "ConfigError",
@@ -94,7 +91,6 @@ __all__ = [
     "RegionClassifier",
     "SearchSpace",
     "StudyTrace",
-    "SurrogateConfig",
     "TrustRegionConfig",
     "TrustRegionState",
     "UnsupportedDimensionError",

@@ -23,11 +23,11 @@ once and serve both the kernel width and the Gram matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .space import Point, SearchSpace, is_integer
+from .space import Point, SearchSpace
 from .surrogate import sqdist
 
 
@@ -35,37 +35,13 @@ class DegenerateValuesError(ValueError):
     """All objective values are identical; no meaningful split exists."""
 
 
-@dataclass(frozen=True)
-class ArpConfig:
-    """Partitioning settings.
+#: Weight of the squared training errors in the least-squares SVM;
+#: smaller values give a smoother boundary.
+_SVM_C = 1.0
 
-    ``activation_threshold`` is the observation count below which
-    partitioning stays inactive; None resolves to ``max(16, 2 * D)``.
-    ``fallback_fraction`` is the share of candidates retained by decision
-    value when the good region captures fewer than that share.
-    ``svm_c`` weighs the squared training errors against the smoothness
-    of the boundary.
-    """
-
-    activation_threshold: int | None = None
-    fallback_fraction: float = 0.2
-    svm_c: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.activation_threshold is not None and (
-            not is_integer(self.activation_threshold) or self.activation_threshold < 4
-        ):
-            raise ValueError("activation_threshold must be an integer of at least 4")
-        if not 0.0 < self.fallback_fraction <= 1.0:
-            raise ValueError("fallback_fraction must lie in (0, 1]")
-        if self.svm_c <= 0:
-            raise ValueError("svm_c must be positive")
-
-    def resolve(self, dim: int) -> "ArpConfig":
-        """Fill the activation threshold for a concrete dimension."""
-        if self.activation_threshold is not None:
-            return self
-        return replace(self, activation_threshold=max(16, 2 * dim))
+#: Share of the candidates the filter keeps, by decision value, when
+#: fewer than this share lie in the good region.
+_FALLBACK_FRACTION = 0.2
 
 
 def label_observations(values: np.ndarray) -> np.ndarray:
@@ -150,9 +126,7 @@ def _median_heuristic_gamma(d2: np.ndarray) -> float:
     return 1.0 / med
 
 
-def fit_classifier(
-    points: np.ndarray, labels: np.ndarray, config: ArpConfig | None = None
-) -> RegionClassifier:
+def fit_classifier(points: np.ndarray, labels: np.ndarray) -> RegionClassifier:
     """Train the RBF least-squares SVM boundary between good and bad points.
 
     Parameters
@@ -161,7 +135,6 @@ def fit_classifier(
         Warped inputs, n >= 4.
     labels : ndarray of bool, shape (n,)
         Good/bad split; both classes must be present.
-    config : ArpConfig, optional
 
     Returns
     -------
@@ -172,17 +145,16 @@ def fit_classifier(
     -----
     The RBF width follows the median heuristic, gamma equal to the
     reciprocal of the median squared pairwise distance (1.0 if that
-    median is zero). With y = +1 for good and -1 for bad points and
-    K the RBF Gram, the coefficients beta and the bias b solve
+    median is zero). With y = +1 for good and -1 for bad points, K the
+    RBF Gram and C = 1 the weight of the squared training errors, the
+    coefficients beta and the bias b solve
 
-        [[0, 1'], [1, K + I / svm_c]] [b; beta] = [0; y],
+        [[0, 1'], [1, K + I / C]] [b; beta] = [0; y],
 
     so beta sums to zero and the training decisions K beta + b equal
-    y - beta / svm_c. K + I / svm_c is positive definite, so the system
-    always has a unique solution.
+    y - beta / C. K + I / C is positive definite, so the system always
+    has a unique solution.
     """
-    if config is None:
-        config = ArpConfig()
     X = np.atleast_2d(np.asarray(points, dtype=float))
     lab = np.asarray(labels, dtype=bool).ravel()
     n = X.shape[0]
@@ -202,7 +174,7 @@ def fit_classifier(
 
     system = np.ones((n + 1, n + 1))
     system[0, 0] = 0.0
-    system[1:, 1:] = K + np.eye(n) / config.svm_c
+    system[1:, 1:] = K + np.eye(n) / _SVM_C
     solution = np.linalg.solve(system, np.concatenate(([0.0], y)))
     bias, beta = float(solution[0]), solution[1:]
 
@@ -217,18 +189,13 @@ def fit_classifier(
     )
 
 
-def filter_candidates(
-    classifier: RegionClassifier,
-    candidates: np.ndarray,
-    fallback_fraction: float = 0.2,
-) -> np.ndarray:
+def filter_candidates(classifier: RegionClassifier, candidates: np.ndarray) -> np.ndarray:
     """Keep candidates on the good side of the boundary.
 
     The good side is where the decision value is nonnegative. If fewer
-    than ``fallback_fraction`` of the candidates lie there, the filter
-    instead keeps the ``ceil(fallback_fraction * len(candidates))``
-    candidates with the largest decision values, so the acquisition step
-    never runs out of points.
+    than a fifth of the candidates lie there, the filter instead keeps
+    the ``ceil(0.2 * len(candidates))`` candidates with the largest
+    decision values, so the acquisition step never runs out of points.
 
     Returns the surviving candidates in their original order (fallback
     ranking reorders by decision value).
@@ -238,7 +205,7 @@ def filter_candidates(
         raise ValueError("no candidates to filter")
     dec = classifier.decision(cand)
     good = dec >= 0.0
-    need = math.ceil(fallback_fraction * cand.shape[0])
+    need = math.ceil(_FALLBACK_FRACTION * cand.shape[0])
     if int(good.sum()) >= need:
         return cand[good]
     ranked = np.argsort(-dec, kind="stable")[:need]

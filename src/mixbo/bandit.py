@@ -6,9 +6,7 @@ initialized to the uniform Beta(1, 1). Selection draws one sample per
 arm and plays the argmax, so exploration falls out of posterior
 uncertainty rather than an explicit schedule. After a batch is
 evaluated, the arms chosen for a point are credited with a success when
-that point improved on the global best, and with a failure otherwise
-(failure updates can be disabled, which makes optimism decay more
-slowly).
+that point improved on the global best, and with a failure otherwise.
 
 Arm indices follow the declaration order of the parameter: booleans map
 false to arm 0 and true to arm 1, categoricals use the category index.
@@ -16,18 +14,11 @@ false to arm 0 and true to arm 1, categoricals use the category index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .space import SearchSpace
-
-
-@dataclass(frozen=True)
-class BanditConfig:
-    """``beta_update`` toggles the failure increment on non-improving points."""
-
-    beta_update: bool = True
 
 
 @dataclass(eq=False)
@@ -68,7 +59,6 @@ def update_rewards(
     state: BanditState,
     chosen_arms: list[dict[str, int]],
     new_best_flags: list[bool],
-    config: BanditConfig | None = None,
 ) -> BanditState:
     """Credit the arms played by a batch of evaluated points.
 
@@ -81,31 +71,27 @@ def update_rewards(
         index in range.
     new_best_flags : list of bool
         Same length; True marks points that improved the global best.
-    config : BanditConfig, optional
 
     Returns
     -------
     BanditState
         The same object, with alpha bumped on improving points and beta
-        bumped on the rest (unless ``beta_update`` is off).
+        bumped on the rest. A batch that fails validation changes
+        nothing.
     """
-    if config is None:
-        config = BanditConfig()
     if len(chosen_arms) != len(new_best_flags):
         raise ValueError("chosen_arms and new_best_flags disagree on length")
-    for arms, flag in zip(chosen_arms, new_best_flags):
+    for arms in chosen_arms:
         for name in state.names:
             if name not in arms:
                 raise ValueError(f"no arm recorded for variable {name!r}")
             k = arms[name]
             if not 0 <= k < state.alpha[name].shape[0]:
                 raise ValueError(f"arm {k} out of range for variable {name!r}")
+    for arms, flag in zip(chosen_arms, new_best_flags):
+        counts = state.alpha if flag else state.beta
         for name in state.names:
-            k = arms[name]
-            if flag:
-                state.alpha[name][k] += 1.0
-            elif config.beta_update:
-                state.beta[name][k] += 1.0
+            counts[name][arms[name]] += 1.0
     return state
 
 

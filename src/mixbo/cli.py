@@ -95,6 +95,9 @@ def serve(
             write_message(outstream, "error", message=str(exc))
             continue
         kind = msg["kind"]
+        if kind in ("suggest_request", "observe", "best") and opt is None:
+            write_message(outstream, "error", message="expected hello first")
+            continue
         try:
             if kind == "hello":
                 sdoc = msg.get("space", space_doc)
@@ -109,24 +112,15 @@ def serve(
                 opt = Optimizer(space, config)
                 write_message(outstream, "ack", message="ready")
             elif kind == "suggest_request":
-                if opt is None:
-                    write_message(outstream, "error", message="expected hello first")
-                    continue
                 write_message(outstream, "suggestions", points=opt.suggest())
             elif kind == "observe":
-                if opt is None:
-                    write_message(outstream, "error", message="expected hello first")
-                    continue
                 points = msg.get("points")
                 values = msg.get("values")
                 if not isinstance(points, list) or not isinstance(values, list):
                     raise ProtocolError('observe needs "points" and "values" lists')
-                opt.observe(points, [float(v) for v in values])
+                opt.observe(points, values)
                 write_message(outstream, "ack", message="recorded")
             elif kind == "best":
-                if opt is None:
-                    write_message(outstream, "error", message="expected hello first")
-                    continue
                 point, value = opt.best()
                 # a non-finite best (every evaluation failed) crosses the
                 # wire as null, keeping the reply strict JSON

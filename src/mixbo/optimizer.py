@@ -32,10 +32,10 @@ import numpy as np
 from . import arp as arp_mod
 from . import bandit as bandit_mod
 from . import turbo as turbo_mod
-from .arp import ArpConfig, DegenerateValuesError, RegionClassifier
-from .bandit import BanditConfig, BanditState
+from .arp import DegenerateValuesError, RegionClassifier
+from .bandit import BanditState
 from .space import Blocks, Point, SearchSpace, is_integer
-from .surrogate import GpModel, SurrogateConfig, gp_fit, gp_mean, gp_sample
+from .surrogate import GpModel, gp_fit, gp_mean, gp_sample
 from .turbo import TrustRegionConfig
 
 
@@ -53,13 +53,17 @@ class EmptyHistoryError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Run settings plus the feature flags of the ablation arms.
+    """Run settings, trust-region settings and the feature flags of the ablation arms.
 
     ``init_points`` defaults to ``max(batch_size, min(2 * (D + 1),
     3 * batch_size))`` and is rounded up to whole batches when served.
     The three ``enable_*`` flags switch region partitioning, the mixed
     kernel, and the qualitative bandits independently; with all three
     off the optimizer is a plain trust-region method on the warped cube.
+    Everything else is fixed: the surrogate's search boxes and mixing
+    weights, the region classifier and its filter, and the bandits'
+    updates. Partitioning starts once ``max(16, 2 * D)`` observations
+    exist.
     """
 
     batch_size: int = 8
@@ -67,9 +71,6 @@ class OptimizerConfig:
     init_points: int | None = None
     seed: int = 0
     turbo: TrustRegionConfig = field(default_factory=TrustRegionConfig)
-    arp: ArpConfig = field(default_factory=ArpConfig)
-    bandit: BanditConfig = field(default_factory=BanditConfig)
-    surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
     enable_arp: bool = True
     enable_mixture_kernel: bool = True
     enable_bandit: bool = True
@@ -95,24 +96,7 @@ class OptimizerConfig:
 
 
 _CONFIG_SCALARS = {"batch_size", "max_iterations", "init_points", "seed"}
-_CONFIG_SECTIONS = {"turbo": TrustRegionConfig, "arp": ArpConfig, "bandit": BanditConfig, "surrogate": SurrogateConfig}
 _FLAG_KEYS = {"arp": "enable_arp", "mixture_kernel": "enable_mixture_kernel", "bandit": "enable_bandit"}
-
-
-def _section_from_dict(cls, doc: dict, where: str):
-    fields_ = {f.name: f for f in cls.__dataclass_fields__.values()}
-    unknown = set(doc) - set(fields_)
-    if unknown:
-        raise ConfigError(f"unknown {where} settings: {sorted(unknown)}")
-    kwargs = {}
-    for key, val in doc.items():
-        if isinstance(val, list):
-            val = tuple(val)
-        kwargs[key] = val
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {where} settings: {exc}") from exc
 
 
 def config_from_dict(doc: dict) -> OptimizerConfig:
@@ -120,22 +104,27 @@ def config_from_dict(doc: dict) -> OptimizerConfig:
 
     Every field is optional. Recognized keys are the scalar settings
     (``batch_size``, ``max_iterations``, ``init_points``, ``seed``), the
-    nested sections ``turbo``, ``arp``, ``bandit``, ``surrogate``, and a
-    ``flags`` object with booleans ``arp``, ``mixture_kernel``, and
-    ``bandit``. Unknown keys anywhere raise ConfigError.
+    nested ``turbo`` section, and a ``flags`` object with booleans
+    ``arp``, ``mixture_kernel``, and ``bandit``. Unknown keys anywhere
+    raise ConfigError.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config document must be an object")
-    allowed = _CONFIG_SCALARS | set(_CONFIG_SECTIONS) | {"flags"}
-    unknown = set(doc) - allowed
+    unknown = set(doc) - _CONFIG_SCALARS - {"turbo", "flags"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs: dict[str, Any] = {k: doc[k] for k in _CONFIG_SCALARS if k in doc}
-    for section, cls in _CONFIG_SECTIONS.items():
-        if section in doc:
-            if not isinstance(doc[section], dict):
-                raise ConfigError(f'"{section}" must be an object')
-            kwargs[section] = _section_from_dict(cls, doc[section], section)
+    if "turbo" in doc:
+        turbo = doc["turbo"]
+        if not isinstance(turbo, dict):
+            raise ConfigError('"turbo" must be an object')
+        unknown = set(turbo) - set(TrustRegionConfig.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown turbo settings: {sorted(unknown)}")
+        try:
+            kwargs["turbo"] = TrustRegionConfig(**turbo)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad turbo settings: {exc}") from exc
     flags = doc.get("flags", {})
     if not isinstance(flags, dict):
         raise ConfigError('"flags" must be an object')
@@ -218,7 +207,6 @@ class Optimizer:
         self.space = space
         self.config = config
         self._turbo = config.turbo.resolve(space.dim, config.batch_size)
-        self._arp = config.arp.resolve(space.dim)
         self._rng = np.random.default_rng(config.seed)
         self._init_points = config.resolved_init_points(space.dim)
         n_batches = math.ceil(self._init_points / config.batch_size)
@@ -333,7 +321,7 @@ class Optimizer:
         # without an infinite target.
         y = np.where(finite, y, y[finite].max())
         blocks = space.blocks if cfg.enable_mixture_kernel else Blocks.all_real(space.dim)
-        model = gp_fit(X, y, space, cfg.surrogate, blocks=blocks)
+        model = gp_fit(X, y, space, blocks=blocks)
         self._model = model
         self._counters["gp_fits"] += 1
 
@@ -341,17 +329,17 @@ class Optimizer:
         # Score candidates as the points they would actually evaluate to.
         cands = space.snap(cands)
 
-        if cfg.enable_arp and len(self._history) >= self._arp.activation_threshold:
+        if cfg.enable_arp and len(self._history) >= max(16, 2 * space.dim):
             clf = None
             try:
                 labels = arp_mod.label_observations(y)
-                clf = arp_mod.fit_classifier(X, labels, self._arp)
+                clf = arp_mod.fit_classifier(X, labels)
                 self._classifier = clf
                 self._counters["arp_fits"] += 1
             except DegenerateValuesError:
                 pass  # a flat history carries no region signal this round
             if clf is not None:
-                cands = arp_mod.filter_candidates(clf, cands, self._arp.fallback_fraction)
+                cands = arp_mod.filter_candidates(clf, cands)
                 self._counters["arp_filters"] += 1
 
         draws = gp_sample(model, cands, self._rng, count=cfg.batch_size)
@@ -388,6 +376,8 @@ class Optimizer:
             evaluations: each is recorded as +inf (so -inf never becomes
             the best value) and flagged in the history rather than
             rejected, with one RuntimeWarning per batch that had any.
+            A value ``float()`` rejects raises ProtocolError, and a
+            rejected batch changes no state.
         """
         if self._pending is None:
             raise ProtocolError("observe called with no pending suggestion")
@@ -402,15 +392,13 @@ class Optimizer:
             if dict(given) != expected:
                 raise ProtocolError("observed points do not match the pending suggestion")
 
-        imputed = []
-        warned = []
-        for v in values:
-            fv = float(v)
-            ok = math.isfinite(fv)
-            imputed.append(fv if ok else math.inf)
-            warned.append(not ok)
-            if not ok:
-                self._counters["imputed_values"] += 1
+        try:
+            floats = [float(v) for v in values]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ProtocolError(f"observed values must be numbers: {exc}") from exc
+        warned = [not math.isfinite(v) for v in floats]
+        imputed = [math.inf if w else v for v, w in zip(floats, warned)]
+        self._counters["imputed_values"] += sum(warned)
         if any(warned):
             warnings.warn(
                 f"{sum(warned)} of {len(values)} observed values were not finite; "
@@ -440,7 +428,7 @@ class Optimizer:
                 self._best_point = dict(point)
 
         if self.config.enable_bandit and self._bandit is not None:
-            bandit_mod.update_rewards(self._bandit, pend.arms, flags, self.config.bandit)
+            bandit_mod.update_rewards(self._bandit, pend.arms, flags)
             self._counters["bandit_updates"] += 1
 
         bidx = int(np.argmin(imputed))

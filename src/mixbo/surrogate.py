@@ -120,29 +120,6 @@ class KernelParams:
             raise ValueError("noise_variance must be at least 1e-8")
 
 
-@dataclass(frozen=True)
-class SurrogateConfig:
-    """Fit-time settings.
-
-    The bounds are in warped units and the lengthscale and variance
-    coordinates are searched on a log scale. ``lambda_grid`` lists the
-    admissible mixing weights.
-    """
-
-    lengthscale_bounds: tuple[float, float] = (5e-3, 2.0)
-    signal_bounds: tuple[float, float] = (0.05, 20.0)
-    noise_bounds: tuple[float, float] = (1e-6, 1e-2)
-    lambda_grid: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-    def __post_init__(self) -> None:
-        for name in ("lengthscale_bounds", "signal_bounds", "noise_bounds"):
-            lo, hi = getattr(self, name)
-            if not (0 < lo < hi):
-                raise ValueError(f"{name} must satisfy 0 < lo < hi")
-        if not self.lambda_grid or any(not 0 <= g <= 1 for g in self.lambda_grid):
-            raise ValueError("lambda_grid entries must lie in [0, 1]")
-
-
 # ---------------------------------------------------------------------------
 # kernel primitives
 
@@ -488,6 +465,15 @@ def _cholesky(fill, first: float, retries: int) -> tuple[np.ndarray | None, floa
 _FIT_SWEEPS = 2
 _MAX_FIT_EVALS = 2000
 
+#: Search boxes of the fit in warped units, searched on a log scale. The
+#: lengthscale and signal boxes are TuRBO's (Eriksson et al., NeurIPS 2019).
+_LENGTHSCALE_BOUNDS = (5e-3, 2.0)
+_SIGNAL_BOUNDS = (0.05, 20.0)
+_NOISE_BOUNDS = (1e-6, 1e-2)
+
+#: Admissible mixing weights lam.
+_LAMBDA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+
 
 def _training_gram(X: np.ndarray, blocks: Blocks):
     """Return ``gram(theta, lam)``, which writes the noisy training Gram of X.
@@ -555,7 +541,6 @@ def gp_fit(
     inputs: np.ndarray,
     targets: np.ndarray,
     space: SearchSpace,
-    config: SurrogateConfig | None = None,
     blocks: Blocks | None = None,
 ) -> GpModel:
     """Fit the surrogate to warped observations.
@@ -568,7 +553,6 @@ def gp_fit(
         Finite objective values.
     space : SearchSpace
         Provides the dimension and the default block structure.
-    config : SurrogateConfig, optional
     blocks : Blocks, optional
         Override for the block partition. Passing ``Blocks.all_real(D)``
         treats every dimension as continuous.
@@ -585,7 +569,9 @@ def gp_fit(
     marginal likelihood via a fixed set of starts, each followed by two
     sweeps of coordinate-wise golden-section refinement of the log
     lengthscales, the log signal variance (with an x-block) and the log
-    noise variance, then a scan of ``config.lambda_grid``. The search is
+    noise variance, then a scan of the mixing weights 0, 0.25, ..., 1.
+    Lengthscales lie in [0.005, 2], the signal variance in [0.05, 20]
+    and the noise variance in [1e-6, 1e-2]. The search is
     deterministic and stops after 2000 likelihood evaluations. The
     fitted likelihood is never below the likelihood at the default
     hyperparameters because the first start probes them. The final
@@ -593,8 +579,6 @@ def gp_fit(
     up to 1e-2 before raising NumericalError; without jitter, the log
     likelihood is the evidence of the Gram the model holds.
     """
-    if config is None:
-        config = SurrogateConfig()
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float).ravel()
     n, d = X.shape
@@ -636,7 +620,7 @@ def gp_fit(
 
     # theta = (log lengthscales, log signal variance, log noise variance);
     # the signal variance scales only the Matern Gram
-    box = [config.lengthscale_bounds] * dx + [config.signal_bounds, config.noise_bounds]
+    box = [_LENGTHSCALE_BOUNDS] * dx + [_SIGNAL_BOUNDS, _NOISE_BOUNDS]
     bounds = np.array([(math.log(lo), math.log(hi)) for lo, hi in box])
     coords = range(dx + 2) if dx else [dx + 1]
     starts = [
@@ -666,7 +650,7 @@ def gp_fit(
                 if val > ll:
                     theta[k], ll = arg, val
             if lam_relevant:
-                for g in config.lambda_grid:
+                for g in _LAMBDA_GRID:
                     if g == lam:  # its likelihood is ll already
                         continue
                     val = likelihood(theta, g)

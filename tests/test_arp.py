@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mixbo.arp import (
-    ArpConfig,
+    _SVM_C,
     DegenerateValuesError,
     RegionClassifier,
     fit_classifier,
@@ -12,6 +12,7 @@ from mixbo.arp import (
     label_observations,
     restart_samples,
 )
+from mixbo.optimizer import Optimizer, OptimizerConfig
 from mixbo.space import ParamSpec, SearchSpace
 
 
@@ -99,14 +100,13 @@ def test_classifier_handles_alternating_pattern():
     assert clf.train_accuracy >= 0.9
 
 
-@pytest.mark.parametrize("svm_c", [0.1, 1.0, 25.0])
+@pytest.mark.parametrize("svm_c", [_SVM_C])
 def test_classifier_solves_the_least_squares_system(svm_c):
     rng = np.random.default_rng(3)
     # overlapping classes, so training errors are not zero
     X = rng.random((40, 3))
     y = X[:, 0] + 0.3 * rng.standard_normal(40) < 0.5
-    cfg = ArpConfig(svm_c=svm_c)
-    clf = fit_classifier(X, y, cfg)
+    clf = fit_classifier(X, y)
     beta = clf.dual_coefs
     assert clf.support_vectors.shape == X.shape
     assert clf.trained_on == 40
@@ -114,14 +114,14 @@ def test_classifier_solves_the_least_squares_system(svm_c):
     signs = np.where(y, 1.0, -1.0)
     np.testing.assert_allclose(clf.decision(X), signs - beta / svm_c, rtol=0.0, atol=1e-10)
     assert clf.train_accuracy == np.mean((clf.decision(X) >= 0) == y)
-    again = fit_classifier(X.copy(), y.copy(), cfg)
+    again = fit_classifier(X.copy(), y.copy())
     assert again.bias == clf.bias and again.kernel_gamma == clf.kernel_gamma
     np.testing.assert_array_equal(again.dual_coefs, clf.dual_coefs)
     np.testing.assert_array_equal(again.support_vectors, clf.support_vectors)
 
 
 def test_classifier_accepts_duplicated_points():
-    # repeated rows make the Gram singular; the I / svm_c term keeps the
+    # repeated rows make the Gram singular; the I / C term keeps the
     # bordered system nonsingular
     rng = np.random.default_rng(4)
     X = np.repeat(rng.random((6, 2)), 3, axis=0)
@@ -186,7 +186,7 @@ def test_filter_falls_back_to_least_bad_candidates():
     # all candidates deep on the wrong side
     wrong = X[~y].mean(axis=0)
     cand = rng.normal(wrong, 0.05, size=(50, 2))
-    kept = filter_candidates(clf, cand, fallback_fraction=0.2)
+    kept = filter_candidates(clf, cand)
     assert kept.shape[0] == 10  # ceil(0.2 * 50)
     # the fallback picks the candidates closest to the good side
     dec_all = np.sort(clf.decision(cand))[::-1]
@@ -242,6 +242,13 @@ def test_restart_samples_fill_with_uniform_when_region_is_tiny():
 
 
 def test_config_threshold_resolution():
-    assert ArpConfig().resolve(dim=3).activation_threshold == 16
-    assert ArpConfig().resolve(dim=12).activation_threshold == 24
-    assert ArpConfig(activation_threshold=40).resolve(dim=3).activation_threshold == 40
+    # the optimizer first partitions at the first model batch that has
+    # max(16, 2 D) observations
+    for dim, threshold in ((3, 16), (12, 24)):
+        space = SearchSpace([ParamSpec(f"x{i}", "real", lo=0.0, hi=1.0) for i in range(dim)])
+        opt = Optimizer(space, OptimizerConfig(batch_size=4, seed=0))
+        while opt.diagnostics["arp_fits"] == 0:
+            seen = len(opt.history)
+            pts = opt.suggest()
+            opt.observe(pts, [sum((v - 0.3) ** 2 for v in p.values()) for p in pts])
+        assert seen == threshold

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mixbo.bandit import (
-    BanditConfig,
     BanditState,
     overwrite_qualitative,
     ts_select,
@@ -80,16 +79,6 @@ def test_update_increments_alpha_on_new_best_and_beta_otherwise():
     np.testing.assert_array_equal(st.beta["mode"], [1, 1, 1, 2])
 
 
-def test_beta_update_can_be_disabled():
-    st = BanditState.from_space(qual_space())
-    cfg = BanditConfig(beta_update=False)
-    update_rewards(st, [{"flag": 0, "mode": 1}], [False], config=cfg)
-    np.testing.assert_array_equal(st.beta["flag"], [1, 1])
-    np.testing.assert_array_equal(st.beta["mode"], [1, 1, 1, 1])
-    update_rewards(st, [{"flag": 0, "mode": 1}], [True], config=cfg)
-    np.testing.assert_array_equal(st.alpha["mode"], [1, 2, 1, 1])
-
-
 def test_update_validates_arm_dictionaries():
     st = BanditState.from_space(qual_space())
     with pytest.raises(ValueError):
@@ -98,6 +87,17 @@ def test_update_validates_arm_dictionaries():
         update_rewards(st, [{"flag": 0, "mode": 9}], [True])  # out of range
     with pytest.raises(ValueError):
         update_rewards(st, [{"flag": 0, "mode": 1}], [True, False])  # length
+
+
+@pytest.mark.parametrize("flags", [[True, True], [False, False]], ids=["improving", "not_improving"])
+def test_a_rejected_batch_leaves_the_counts_unchanged(flags):
+    st = BanditState.from_space(qual_space())
+    with pytest.raises(ValueError):
+        # the first point is valid, the second plays an arm out of range
+        update_rewards(st, [{"flag": 1, "mode": 1}, {"flag": 0, "mode": 5}], flags)
+    for name in st.names:
+        np.testing.assert_array_equal(st.alpha[name], 1.0)
+        np.testing.assert_array_equal(st.beta[name], 1.0)
 
 
 def test_overwrite_qualitative_writes_arm_codes():

@@ -78,10 +78,11 @@ def test_hello_then_suggest_yields_valid_points():
 
 
 def test_serve_requires_hello_first():
-    code, replies = feed(['{"kind": "suggest_request"}', '{"kind": "best"}'])
+    code, replies = feed(
+        ['{"kind": "suggest_request"}', '{"kind": "observe", "points": [], "values": []}', '{"kind": "best"}']
+    )
     assert code == 0
-    assert all(r["kind"] == "error" for r in replies)
-    assert "hello" in replies[0]["message"]
+    assert replies == [{"kind": "error", "message": "expected hello first"}] * 3
 
 
 def test_hello_uses_preset_documents():
@@ -333,11 +334,11 @@ def test_run_subcommand_survives_a_partly_failing_command(tmp_path, capsys):
         (SPACE_DOC, {"batch_size": 2.5}),
         (SPACE_DOC, {"max_iterations": 1.5}),
         (SPACE_DOC, {"batch_size": 2, "max_iterations": 1, "seed": True}),
-        (SPACE_DOC, {"batch_size": 2, "max_iterations": 1, "arp": {"activation_threshold": 5.5}}),
+        (SPACE_DOC, {"batch_size": 2, "max_iterations": 1, "turbo": {"failure_tolerance": 5.5}}),
         ({"params": [{"name": "x", "kind": "real", "lo": "0", "hi": 1}]}, {"batch_size": 2, "max_iterations": 1}),
         ({"params": [{"name": "c", "kind": "categorical", "categories": "abc"}]}, {"batch_size": 2, "max_iterations": 1}),
     ],
-    ids=["batch_size", "max_iterations", "seed", "activation_threshold", "lo", "categories"],
+    ids=["batch_size", "max_iterations", "seed", "turbo", "lo", "categories"],
 )
 def test_run_rejects_mistyped_documents_without_a_traceback(tmp_path, space_doc, config_doc):
     space_path = tmp_path / "space.json"

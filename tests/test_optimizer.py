@@ -1,5 +1,6 @@
 """Tests for the ask/tell optimizer loop."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import mixbo
 from mixbo.bench import get_objective
 from mixbo.optimizer import (
     ConfigError,
@@ -86,21 +88,27 @@ def test_config_from_dict_round_trip_and_unknown_keys():
         "seed": 3,
         "flags": {"arp": False, "mixture_kernel": True, "bandit": False},
         "turbo": {"length_min": 0.25},
-        "surrogate": {"lambda_grid": [0.0, 1.0]},
     }
     cfg = config_from_dict(doc)
     assert cfg.batch_size == 4 and cfg.seed == 3
     assert cfg.enable_arp is False and cfg.enable_bandit is False
     assert cfg.turbo.length_min == 0.25
-    assert cfg.surrogate.lambda_grid == (0.0, 1.0)
     with pytest.raises(ConfigError):
         config_from_dict({"batchsize": 4})
     with pytest.raises(ConfigError):
         config_from_dict({"turbo": {"length_mni": 0.25}})
     with pytest.raises(ConfigError):
         config_from_dict({"flags": {"turbo": True}})
-    with pytest.raises(ConfigError):
-        config_from_dict({"surrogate": {"n_sweeps": 2}})
+    # the sections of the settings that are now constants are rejected,
+    # even empty and even with their old defaults
+    for removed in (
+        {"arp": {}},
+        {"arp": {"activation_threshold": None, "fallback_fraction": 0.2, "svm_c": 1.0}},
+        {"bandit": {"beta_update": True}},
+        {"surrogate": {"lambda_grid": [0.0, 0.25, 0.5, 0.75, 1.0]}},
+    ):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            config_from_dict(removed)
     for bad in (
         {"batch_size": 2.5},
         {"max_iterations": 1.5},
@@ -109,17 +117,39 @@ def test_config_from_dict_round_trip_and_unknown_keys():
         {"turbo": {"success_tolerance": 2.5}},
         {"turbo": {"failure_tolerance": True}},
         {"turbo": {"n_candidates": 100.0}},
-        {"arp": {"activation_threshold": 5.5}},
+        {"turbo": {"length_min": "0.1"}},
+        {"turbo": []},
     ):
         with pytest.raises(ConfigError):
             config_from_dict(bad)
 
 
-def test_readme_config_document_is_the_default_config():
+def readme_block(heading, fence):
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
-    after = readme.split("**Config document**", 1)[1]
-    doc = after.split("```json", 1)[1].split("```", 1)[0]
+    return readme.split(heading, 1)[1].split(fence, 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_document_is_the_default_config():
+    doc = readme_block("**Config document**", "```json")
     assert config_from_dict(json.loads(doc)) == OptimizerConfig()
+
+
+def test_readme_quick_start_runs():
+    ns = {}
+    exec(readme_block("## Quick start", "```python"), ns)
+    assert ns["opt"].diagnostics["observations"] == 64
+    assert math.isfinite(ns["best_value"])
+
+
+def test_public_names_resolve_and_removed_settings_are_gone():
+    for name in mixbo.__all__:
+        assert hasattr(mixbo, name), name
+    for name in ("SurrogateConfig", "BanditConfig", "ArpConfig"):
+        assert name not in mixbo.__all__ and not hasattr(mixbo, name)
+    assert {f.name for f in dataclasses.fields(OptimizerConfig)} == {
+        "batch_size", "max_iterations", "init_points", "seed", "turbo",
+        "enable_arp", "enable_mixture_kernel", "enable_bandit",
+    }
 
 
 # --- protocol -------------------------------------------------------------
@@ -217,6 +247,20 @@ def test_non_finite_values_are_imputed_and_flagged():
     assert opt.diagnostics["imputed_values"] == 2
     # a usable best still exists
     assert opt.best()[1] == 1.0
+
+
+def test_a_rejected_observation_changes_nothing():
+    opt = Optimizer(small_space(), OptimizerConfig(batch_size=2, seed=3))
+    pts = opt.suggest()
+    # float() rejects 10**400 after the NaN was seen; a retry counts the NaN once
+    for bad in (10**400, "high", None):
+        with pytest.raises(ProtocolError):
+            opt.observe(pts, [float("nan"), bad])
+        assert opt.diagnostics["imputed_values"] == 0 and opt.history == ()
+    with pytest.warns(RuntimeWarning, match="1 of 2"):
+        opt.observe(pts, [float("nan"), 1.0])
+    assert opt.diagnostics["imputed_values"] == 1
+    assert len(opt.history) == 2 and opt.best()[1] == 1.0
 
 
 def test_failed_evaluations_survive_the_model_phase():

@@ -14,7 +14,6 @@ from mixbo import surrogate
 from mixbo.space import Blocks, ParamSpec, SearchSpace
 from mixbo.surrogate import (
     KernelParams,
-    SurrogateConfig,
     gp_fit,
     gp_mean,
     gp_posterior,
@@ -321,14 +320,13 @@ def test_fitted_parameters_respect_bounds():
     rng = np.random.default_rng(23)
     X = sample_inputs(rng, space, 16)
     y = rng.standard_normal(16)
-    cfg = SurrogateConfig()
-    model = gp_fit(X, y, space, config=cfg)
+    model = gp_fit(X, y, space)
     p = model.params
-    lo, hi = cfg.lengthscale_bounds
+    lo, hi = surrogate._LENGTHSCALE_BOUNDS
     assert np.all(p.lengthscales >= lo) and np.all(p.lengthscales <= hi)
-    assert cfg.signal_bounds[0] <= p.signal_variance <= cfg.signal_bounds[1]
-    assert cfg.noise_bounds[0] <= p.noise_variance <= cfg.noise_bounds[1]
-    assert p.lam in cfg.lambda_grid
+    assert surrogate._SIGNAL_BOUNDS[0] <= p.signal_variance <= surrogate._SIGNAL_BOUNDS[1]
+    assert surrogate._NOISE_BOUNDS[0] <= p.noise_variance <= surrogate._NOISE_BOUNDS[1]
+    assert p.lam in surrogate._LAMBDA_GRID
 
 
 def test_lambda_fixed_to_zero_without_discrete_blocks():
@@ -480,8 +478,13 @@ def reference_cholesky(m, first, retries):
     return None, jitter
 
 
-def check_factor(m, below=None, first=1e-10, retries=6):
-    """Factor m with the helper, its lower triangle replaced by ``below``'s if given."""
+def check_factor(m, below=None, first=1e-10, retries=6, entrywise=True):
+    """Factor m with the helper, its lower triangle replaced by ``below``'s if given.
+
+    The factor is compared with numpy's entry by entry, or, where m is
+    near singular and its factor ill determined, by reconstructing the
+    jittered m from it.
+    """
     want, want_jitter = reference_cholesky(m, first, retries)
     made = m.copy() if below is None else np.triu(m) + np.tril(below, -1)
     filled = []
@@ -496,12 +499,17 @@ def check_factor(m, below=None, first=1e-10, retries=6):
     # triangle is what the fill held below the diagonal, untouched
     assert got.base is filled[-1] and got.flags.f_contiguous
     assert np.array_equal(np.triu(got, 1), np.triu(made.T, 1))
-    np.testing.assert_allclose(np.tril(got), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    low = np.tril(got)
+    if entrywise:
+        np.testing.assert_allclose(low, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    else:
+        jittered = m + jitter * np.eye(len(m))
+        np.testing.assert_allclose(low @ low.T, jittered, rtol=0.0, atol=1e-12 * np.abs(jittered).max())
     return jitter
 
 
 @pytest.mark.parametrize("tile", [None, 16])
-def test_cholesky_in_place_matches_numpy(tile, monkeypatch):
+def test_cholesky_matches_numpy(tile, monkeypatch):
     if tile is not None:
         monkeypatch.setattr(surrogate, "_TILE_ELEMENTS", tile)
     rng = np.random.default_rng(4)
@@ -510,16 +518,17 @@ def test_cholesky_in_place_matches_numpy(tile, monkeypatch):
     assert check_factor(spd) == 0.0
     # only the upper triangle is read
     assert check_factor(spd, below=rng.standard_normal((11, 11))) == 0.0
-    # duplicated rows make the Gram singular; both take the same jitter
+    # duplicated rows make the Gram singular; both take the same jitter,
+    # and the factor reproduces the jittered Gram
     space = mixed_space()
     H = sample_inputs(rng, space, 6)
     H = np.vstack([H, H[:5]])
     p = KernelParams(lengthscales=np.array([0.3, 0.7]), signal_variance=2.0, lam=0.4)
-    assert check_factor(mixture_gram(H, None, p, space.blocks)) > 0.0
+    assert check_factor(mixture_gram(H, None, p, space.blocks), entrywise=False) > 0.0
 
 
 @pytest.mark.parametrize("tile", [None, 16])
-def test_cholesky_in_place_returns_input_unchanged_on_failure(tile, monkeypatch):
+def test_cholesky_failure_leaves_the_source_unchanged(tile, monkeypatch):
     if tile is not None:
         monkeypatch.setattr(surrogate, "_TILE_ELEMENTS", tile)
     rng = np.random.default_rng(5)
