@@ -302,16 +302,12 @@ class RandomSearch:
         self.space = space
         self.batch_size = batch_size
         self._rng = np.random.default_rng(seed)
-        self._best = math.inf
 
     def suggest(self) -> list[Point]:
         return [self.space.random_point(self._rng) for _ in range(self.batch_size)]
 
     def observe(self, points: Sequence[Point], values: Sequence[float]) -> None:
-        for v in values:
-            fv = float(v)
-            if math.isfinite(fv) and fv < self._best:
-                self._best = fv
+        """Accept a batch; the study tracks the best, so nothing is kept."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -60,10 +60,11 @@ class OptimizerConfig:
     The three ``enable_*`` flags switch region partitioning, the mixed
     kernel, and the qualitative bandits independently; with all three
     off the optimizer is a plain trust-region method on the warped cube.
-    Everything else is fixed: the surrogate's search boxes and mixing
-    weights, the region classifier and its filter, and the bandits'
-    updates. Partitioning starts once ``max(16, 2 * D)`` observations
-    exist.
+    ``turbo`` holds the trust region's floor and candidate count.
+    Everything else is fixed: the rest of the trust region, the
+    surrogate's search boxes and mixing weights, the region classifier
+    and its filter, and the bandits' updates. Partitioning starts once
+    ``max(16, 2 * D)`` observations exist.
     """
 
     batch_size: int = 8
@@ -104,7 +105,8 @@ def config_from_dict(doc: dict) -> OptimizerConfig:
 
     Every field is optional. Recognized keys are the scalar settings
     (``batch_size``, ``max_iterations``, ``init_points``, ``seed``), the
-    nested ``turbo`` section, and a ``flags`` object with booleans
+    nested ``turbo`` section (``length_min`` and ``n_candidates``), and
+    a ``flags`` object with booleans
     ``arp``, ``mixture_kernel``, and ``bandit``. Unknown keys anywhere
     raise ConfigError.
     """
@@ -206,7 +208,6 @@ class Optimizer:
             raise ConfigError("at most 64 dimensions are supported")
         self.space = space
         self.config = config
-        self._turbo = config.turbo.resolve(space.dim, config.batch_size)
         self._rng = np.random.default_rng(config.seed)
         self._init_points = config.resolved_init_points(space.dim)
         n_batches = math.ceil(self._init_points / config.batch_size)
@@ -217,7 +218,7 @@ class Optimizer:
         self._init_served = 0
         self._history: list[Observation] = []
         self._pending: _Pending | None = None
-        self._tr = turbo_mod.new_state(self._turbo)
+        self._tr = turbo_mod.new_state()
         self._restart_pending = False
         self._model: GpModel | None = None
         self._classifier: RegionClassifier | None = None
@@ -231,7 +232,6 @@ class Optimizer:
             "arp_filters": 0,
             "bandit_selects": 0,
             "bandit_updates": 0,
-            "restarts": 0,
             "imputed_values": 0,
         }
 
@@ -252,8 +252,8 @@ class Optimizer:
         out = dict(self._counters)
         out["iterations"] = self._iteration
         out["observations"] = len(self._history)
+        out["restarts"] = self._tr.restarts
         out["tr_length"] = self._tr.length
-        out["tr_restarts"] = self._tr.restarts
         return out
 
     def best(self) -> tuple[Point, float]:
@@ -325,7 +325,7 @@ class Optimizer:
         self._model = model
         self._counters["gp_fits"] += 1
 
-        cands = turbo_mod.generate_candidates(self._tr, model, space, self._rng, self._turbo)
+        cands = turbo_mod.generate_candidates(self._tr, model, space, self._rng, cfg.turbo)
         # Score candidates as the points they would actually evaluate to.
         cands = space.snap(cands)
 
@@ -376,8 +376,8 @@ class Optimizer:
             evaluations: each is recorded as +inf (so -inf never becomes
             the best value) and flagged in the history rather than
             rejected, with one RuntimeWarning per batch that had any.
-            A value ``float()`` rejects raises ProtocolError, and a
-            rejected batch changes no state.
+            A boolean, or a value ``float()`` rejects, raises
+            ProtocolError, and a rejected batch changes no state.
         """
         if self._pending is None:
             raise ProtocolError("observe called with no pending suggestion")
@@ -392,6 +392,9 @@ class Optimizer:
             if dict(given) != expected:
                 raise ProtocolError("observed points do not match the pending suggestion")
 
+        # float(True) is 1.0, but a boolean objective value is a caller's bug
+        if any(isinstance(v, (bool, np.bool_)) for v in values):
+            raise ProtocolError("observed values must be numbers, not booleans")
         try:
             floats = [float(v) for v in values]
         except (TypeError, ValueError, OverflowError) as exc:
@@ -433,12 +436,11 @@ class Optimizer:
 
         bidx = int(np.argmin(imputed))
         self._tr = turbo_mod.update_region(
-            self._tr, imputed[bidx], pend.warped[bidx], self._turbo
+            self._tr, imputed[bidx], pend.warped[bidx], self.config.batch_size
         )
-        if turbo_mod.needs_restart(self._tr, self._turbo):
-            self._counters["restarts"] += 1
+        if turbo_mod.needs_restart(self._tr, self.config.turbo):
             center = self._restart_center()
-            self._tr = turbo_mod.restarted(self._tr, center, self._turbo)
+            self._tr = turbo_mod.restarted(self._tr, center)
             self._restart_pending = True
 
         self._pending = None

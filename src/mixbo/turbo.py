@@ -8,7 +8,10 @@ considered exhausted and the caller restarts it elsewhere. Candidate
 points are drawn from a scrambled Sobol sequence inside the region, with
 per-dimension sides weighted by the fitted Matern lengthscales, and are
 sparsified so that each candidate differs from the center only in a
-random subset of coordinates.
+random subset of coordinates. The floor and the candidate count are the
+only settings (:class:`TrustRegionConfig`); the region's other rules
+are TuRBO's and fixed, some of them worked out from the dimension and
+the batch size.
 
 The Sobol generator is self-contained. It walks the sequence in Gray
 code order using direction numbers shipped with the package (data file
@@ -38,60 +41,36 @@ class UnsupportedDimensionError(ValueError):
     """Requested Sobol dimension is outside the supported range."""
 
 
+# TuRBO's geometry (Eriksson et al., 2019): the initial and maximum
+# side lengths and the run of successes that doubles the length.
+_LENGTH_INIT = 0.8
+_LENGTH_MAX = 1.6
+_SUCCESS_TOLERANCE = 3
+
+
 @dataclass(frozen=True)
 class TrustRegionConfig:
-    """Geometry and adaptation settings of the trust region.
+    """The two trust-region settings a caller may change.
 
-    ``failure_tolerance``, ``n_candidates``, and ``perturbation_prob``
-    default to None and are resolved against the space dimension and
-    batch size with :meth:`resolve`; their defaults are
-    ``max(4, ceil(D / batch_size))``, ``min(100 * D, 5000)``, and
-    ``min(1, 20 / D)``.
+    ``length_min`` is the floor below which the region restarts; it
+    must lie in (0, 0.8), below the initial length. ``n_candidates``
+    defaults to None, which means ``min(100 * D, 5000)``. The rest of
+    the method is fixed: the region starts at length 0.8, doubles
+    (up to 1.6) after 3 consecutive successes, halves after
+    ``max(4, ceil(D / batch_size))`` consecutive failures, and perturbs
+    each coordinate of a candidate with probability ``min(1, 20 / D)``.
     """
 
-    length_init: float = 0.8
-    length_max: float = 1.6
     length_min: float = 0.125
-    success_tolerance: int = 3
-    failure_tolerance: int | None = None
     n_candidates: int | None = None
-    perturbation_prob: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.length_min < self.length_init <= self.length_max):
-            raise ValueError(
-                "need 0 < length_min < length_init <= length_max, got "
-                f"{self.length_min}, {self.length_init}, {self.length_max}"
-            )
-        if not is_integer(self.success_tolerance) or self.success_tolerance < 1:
-            raise ValueError("success_tolerance must be an integer of at least 1")
-        for name in ("failure_tolerance", "n_candidates"):
-            value = getattr(self, name)
-            if value is not None and (not is_integer(value) or value < 1):
-                raise ValueError(f"{name} must be an integer of at least 1")
-        if self.perturbation_prob is not None and not (0.0 < self.perturbation_prob <= 1.0):
-            raise ValueError("perturbation_prob must lie in (0, 1]")
-
-    def resolve(self, dim: int, batch_size: int) -> "TrustRegionConfig":
-        """Fill dimension-dependent defaults for a concrete problem."""
-        if dim < 1 or batch_size < 1:
-            raise ValueError("dim and batch_size must be positive")
-        return replace(
-            self,
-            failure_tolerance=(
-                self.failure_tolerance
-                if self.failure_tolerance is not None
-                else max(4, math.ceil(dim / batch_size))
-            ),
-            n_candidates=(
-                self.n_candidates if self.n_candidates is not None else min(100 * dim, 5000)
-            ),
-            perturbation_prob=(
-                self.perturbation_prob
-                if self.perturbation_prob is not None
-                else min(1.0, 20.0 / dim)
-            ),
-        )
+        if not (0.0 < self.length_min < _LENGTH_INIT):
+            raise ValueError(f"length_min must lie in (0, {_LENGTH_INIT}), got {self.length_min!r}")
+        if self.n_candidates is not None and (
+            not is_integer(self.n_candidates) or self.n_candidates < 1
+        ):
+            raise ValueError("n_candidates must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -106,11 +85,11 @@ class TrustRegionState:
     restarts: int
 
 
-def new_state(config: TrustRegionConfig) -> TrustRegionState:
+def new_state() -> TrustRegionState:
     """Fresh state with no center and no incumbent."""
     return TrustRegionState(
         center=None,
-        length=config.length_init,
+        length=_LENGTH_INIT,
         success_count=0,
         failure_count=0,
         best_value=math.inf,
@@ -118,11 +97,11 @@ def new_state(config: TrustRegionConfig) -> TrustRegionState:
     )
 
 
-def restarted(state: TrustRegionState, center: np.ndarray, config: TrustRegionConfig) -> TrustRegionState:
+def restarted(state: TrustRegionState, center: np.ndarray) -> TrustRegionState:
     """Reset geometry and incumbent at a new center, bumping the restart count."""
     return TrustRegionState(
         center=np.asarray(center, dtype=float).copy(),
-        length=config.length_init,
+        length=_LENGTH_INIT,
         success_count=0,
         failure_count=0,
         best_value=math.inf,
@@ -134,18 +113,18 @@ def update_region(
     state: TrustRegionState,
     batch_best_value: float,
     batch_best_point: np.ndarray,
-    config: TrustRegionConfig,
+    batch_size: int,
 ) -> TrustRegionState:
-    """Advance the state by one observed batch.
+    """Advance the state by one observed batch of ``batch_size`` points.
 
     A batch is a success when its best value improves on the incumbent
     by more than a relative margin of ``1e-3 * |incumbent|``. A success
     recenters the region on the new incumbent and zeroes the failure
-    run; reaching ``success_tolerance`` consecutive successes doubles
-    the length (capped at ``length_max``). A failure zeroes the success
-    run; reaching ``failure_tolerance`` consecutive failures halves the
-    length. The length may fall below ``length_min``, which
-    :func:`needs_restart` reports.
+    run; 3 consecutive successes double the length (capped at 1.6). A
+    failure zeroes the success run; ``max(4, ceil(D / batch_size))``
+    consecutive failures halve the length, where D is the length of
+    ``batch_best_point``. The length may fall below ``length_min``,
+    which :func:`needs_restart` reports.
 
     Returns the updated state; the input state is not modified.
     """
@@ -163,16 +142,16 @@ def update_region(
             success_count=successes,
             failure_count=0,
         )
-        if successes >= config.success_tolerance:
+        if successes >= _SUCCESS_TOLERANCE:
             state = replace(
                 state,
-                length=min(2.0 * state.length, config.length_max),
+                length=min(2.0 * state.length, _LENGTH_MAX),
                 success_count=0,
             )
     else:
         failures = state.failure_count + 1
         state = replace(state, failure_count=failures, success_count=0)
-        if failures >= config.failure_tolerance:
+        if failures >= max(4, math.ceil(len(batch_best_point) / batch_size)):
             state = replace(state, length=state.length / 2.0, failure_count=0)
     return state
 
@@ -329,7 +308,7 @@ def generate_candidates(
     lengthscales (dimensions outside the x-block, which have no
     lengthscale, get weight 1). Each candidate keeps the center's value
     in every coordinate except a random subset: coordinates are
-    perturbed independently with probability ``perturbation_prob``, and
+    perturbed independently with probability ``min(1, 20 / D)``, and
     every candidate perturbs at least one coordinate.
 
     Parameters
@@ -342,25 +321,24 @@ def generate_candidates(
     rng : numpy Generator
         Supplies the scramble seed and the perturbation mask.
     config : TrustRegionConfig
-        Must be resolved (no None fields).
+        Its ``n_candidates``, or ``min(100 * D, 5000)`` when None, is
+        the number of candidates.
 
     Returns
     -------
     ndarray, shape (n_candidates, D)
         Points inside the region, hence inside the unit cube.
     """
-    if config.n_candidates is None or config.perturbation_prob is None:
-        raise ValueError("config must be resolved before generating candidates")
     d = space.dim
     ls_full = np.ones(d)
     if model is not None and model.blocks.x.size:
         ls_full[model.blocks.x] = model.params.lengthscales
     lo, hi = region_bounds(state, ls_full)
-    n = config.n_candidates
+    n = config.n_candidates if config.n_candidates is not None else min(100 * d, 5000)
     scramble_seed = int(rng.integers(0, 2**31))
     pts = sobol_points(n, d, seed=scramble_seed)
     cand = lo + pts * (hi - lo)
-    mask = rng.random((n, d)) < config.perturbation_prob
+    mask = rng.random((n, d)) < min(1.0, 20.0 / d)
     none_on = ~mask.any(axis=1)
     if np.any(none_on):
         forced = rng.integers(0, d, size=int(none_on.sum()))

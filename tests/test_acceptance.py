@@ -184,44 +184,46 @@ def test_criterion_02_gp_oracle_equivalence(capsys):
 def test_criterion_03_trust_region_state_machine(capsys):
     with criterion(3, "region doubles, halves, and trips the restart floor", capsys):
         t0 = time.perf_counter()
-        cfg = TrustRegionConfig(failure_tolerance=2, n_candidates=100, perturbation_prob=1.0)
-        assert cfg.length_init == 0.8 and cfg.length_max == 1.6
+        cfg = TrustRegionConfig(n_candidates=100)
         assert cfg.length_min == 2.0**-3
+        # D = 3 in batches of 4: max(4, ceil(3 / 4)) = 4 failures halve
+        batch, failure_tolerance = 4, 4
 
-        # success streaks double the length, capped at length_max
-        st = new_state(cfg)
+        # success streaks double the length from 0.8, capped at 1.6
+        st = new_state()
         assert st.center is None and math.isinf(st.best_value)
+        assert st.length == 0.8
         pt = np.full(3, 0.5)
         for k, val in enumerate((10.0, 9.0, 8.0), start=1):
-            st = update_region(st, val, pt + 0.01 * k, cfg)
+            st = update_region(st, val, pt + 0.01 * k, batch)
             assert st.best_value == val
         assert st.length == 1.6 and st.success_count == 0
         for val in (7.0, 6.0, 5.0):
-            st = update_region(st, val, pt, cfg)
+            st = update_region(st, val, pt, batch)
         assert st.length == 1.6
 
         # failure streaks halve it until the floor trips; halving is
         # exact in binary so the scripted lengths match bit for bit
-        st = new_state(cfg)
-        st = update_region(st, 1.0, pt, cfg)
+        st = new_state()
+        st = update_region(st, 1.0, pt, batch)
         assert np.array_equal(st.center, pt) and st.length == 0.8
         seen = [st.length]
         while not needs_restart(st, cfg):
-            st = update_region(st, 2.0, pt, cfg)
-            st = update_region(st, 2.0, pt, cfg)
+            for _ in range(failure_tolerance):
+                st = update_region(st, 2.0, pt, batch)
             seen.append(st.length)
         assert seen == [0.8, 0.4, 0.2, 0.1]
 
         # an improvement inside the relative margin counts as a failure
         # and leaves the incumbent alone
-        st2 = new_state(cfg)
-        st2 = update_region(st2, 10.0, pt, cfg)
-        st2 = update_region(st2, 9.999, pt + 0.3, cfg)
+        st2 = new_state()
+        st2 = update_region(st2, 10.0, pt, batch)
+        st2 = update_region(st2, 9.999, pt + 0.3, batch)
         assert st2.best_value == 10.0 and st2.failure_count == 1
         assert np.array_equal(st2.center, pt)
 
         # a restart resets geometry and incumbent and bumps the counter
-        fresh = restarted(st, np.full(3, 0.25), cfg)
+        fresh = restarted(st, np.full(3, 0.25))
         assert fresh.length == 0.8 and fresh.restarts == st.restarts + 1
         assert math.isinf(fresh.best_value)
         assert fresh.success_count == 0 and fresh.failure_count == 0

@@ -196,6 +196,24 @@ def test_serve_keeps_suggesting_after_failed_evaluations():
     assert kinds == ["ack"] + ["suggestions", "ack"] * 8
 
 
+def test_serve_rejects_boolean_values_then_takes_numbers():
+    out = io.StringIO()
+
+    def client():
+        yield hello_line({"batch_size": 2, "seed": 0})
+        yield '{"kind": "suggest_request"}'
+        pts = json.loads(out.getvalue().splitlines()[-1])["points"]
+        yield json.dumps({"kind": "observe", "points": pts, "values": [True, False]})
+        yield json.dumps({"kind": "observe", "points": pts, "values": [1.0, 0.0]})
+        yield '{"kind": "best"}'
+
+    assert serve(client(), out) == 0
+    replies = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert [r["kind"] for r in replies] == ["ack", "suggestions", "error", "ack", "best"]
+    assert "booleans" in replies[2]["message"]
+    assert replies[-1]["value"] == 0.0
+
+
 def test_serve_recovers_after_any_exception_in_suggest(monkeypatch):
     real_suggest = Optimizer.suggest
     calls = []
@@ -334,7 +352,7 @@ def test_run_subcommand_survives_a_partly_failing_command(tmp_path, capsys):
         (SPACE_DOC, {"batch_size": 2.5}),
         (SPACE_DOC, {"max_iterations": 1.5}),
         (SPACE_DOC, {"batch_size": 2, "max_iterations": 1, "seed": True}),
-        (SPACE_DOC, {"batch_size": 2, "max_iterations": 1, "turbo": {"failure_tolerance": 5.5}}),
+        (SPACE_DOC, {"batch_size": 2, "max_iterations": 1, "turbo": {"n_candidates": 5.5}}),
         ({"params": [{"name": "x", "kind": "real", "lo": "0", "hi": 1}]}, {"batch_size": 2, "max_iterations": 1}),
         ({"params": [{"name": "c", "kind": "categorical", "categories": "abc"}]}, {"batch_size": 2, "max_iterations": 1}),
     ],

@@ -109,15 +109,28 @@ def test_config_from_dict_round_trip_and_unknown_keys():
     ):
         with pytest.raises(ConfigError, match="unknown config keys"):
             config_from_dict(removed)
+    # so are the trust-region settings that are now constants or worked
+    # out from the problem, even at their old defaults
+    for key, old in (
+        ("length_init", 0.8),
+        ("length_max", 1.6),
+        ("success_tolerance", 3),
+        ("failure_tolerance", None),
+        ("perturbation_prob", None),
+    ):
+        with pytest.raises(ConfigError, match="unknown turbo settings"):
+            config_from_dict({"turbo": {"length_min": 0.125, key: old}})
     for bad in (
         {"batch_size": 2.5},
         {"max_iterations": 1.5},
         {"seed": True},
         {"init_points": 16.5},
-        {"turbo": {"success_tolerance": 2.5}},
-        {"turbo": {"failure_tolerance": True}},
+        {"turbo": {"n_candidates": 2.5}},
+        {"turbo": {"n_candidates": True}},
         {"turbo": {"n_candidates": 100.0}},
         {"turbo": {"length_min": "0.1"}},
+        {"turbo": {"length_min": None}},
+        {"turbo": {"length_min": 0.8}},
         {"turbo": []},
     ):
         with pytest.raises(ConfigError):
@@ -150,6 +163,8 @@ def test_public_names_resolve_and_removed_settings_are_gone():
         "batch_size", "max_iterations", "init_points", "seed", "turbo",
         "enable_arp", "enable_mixture_kernel", "enable_bandit",
     }
+    assert {f.name for f in dataclasses.fields(TrustRegionConfig)} == {"length_min", "n_candidates"}
+    assert not hasattr(TrustRegionConfig, "resolve")
 
 
 # --- protocol -------------------------------------------------------------
@@ -263,6 +278,22 @@ def test_a_rejected_observation_changes_nothing():
     assert len(opt.history) == 2 and opt.best()[1] == 1.0
 
 
+@pytest.mark.parametrize("bad", [[True, False], [1.0, np.bool_(False)]], ids=["bool", "numpy_bool"])
+def test_boolean_values_are_rejected_and_change_nothing(bad):
+    opt = Optimizer(small_space(), OptimizerConfig(batch_size=2, seed=3))
+    pts = opt.suggest()
+    before = opt.diagnostics
+    # float(True) is 1.0, so without the check this batch would be recorded
+    with pytest.raises(ProtocolError, match="booleans"):
+        opt.observe(pts, bad)
+    assert opt.history == () and opt.diagnostics == before
+    with pytest.raises(ProtocolError):
+        opt.suggest()  # the same suggestion is still pending
+    opt.observe(pts, [1.0, 0.0])
+    assert [ob.value for ob in opt.history] == [1.0, 0.0]
+    assert opt.best()[1] == 0.0
+
+
 def test_failed_evaluations_survive_the_model_phase():
     space = small_space()
     opt = Optimizer(space, OptimizerConfig(batch_size=4, seed=3))
@@ -365,18 +396,21 @@ def test_components_engage_when_enabled():
 
 def test_restart_fires_when_region_collapses():
     space = small_space()
-    cfg = OptimizerConfig(
-        batch_size=4,
-        seed=9,
-        turbo=TrustRegionConfig(length_init=0.2, length_min=0.19, failure_tolerance=1),
-    )
+    cfg = OptimizerConfig(batch_size=4, seed=9, turbo=TrustRegionConfig(length_min=0.5))
     opt = Optimizer(space, cfg)
-    # constant responses: every post-init batch is a failure, so the
-    # region halves each round and restarts almost immediately
-    for _ in range(8):
+    # constant responses: the first batch of a region succeeds and the
+    # next 4 (max(4, ceil(4 / 4))) fail, which halves the length from
+    # 0.8 to 0.4, below the floor, so the region restarts every 5 rounds
+    restarts = []
+    for _ in range(10):
         pts = opt.suggest()
         opt.observe(pts, [5.0 for _ in pts])
-    assert opt.diagnostics["restarts"] >= 1
+        d = opt.diagnostics
+        assert d["restarts"] == opt._tr.restarts
+        restarts.append(d["restarts"])
+    assert restarts == [0, 0, 0, 0, 1, 1, 1, 1, 1, 2]
+    # the restart count is reported once
+    assert "tr_restarts" not in opt.diagnostics
 
 
 def test_history_is_append_only_copies():

@@ -111,122 +111,128 @@ def test_dimension_cap():
 
 
 def test_config_resolution_defaults():
-    cfg = TrustRegionConfig().resolve(dim=8, batch_size=8)
-    assert cfg.failure_tolerance == 4  # max(4, ceil(8/8))
-    assert cfg.n_candidates == 800
-    assert cfg.perturbation_prob == 1.0
-    big = TrustRegionConfig().resolve(dim=60, batch_size=4)
-    assert big.failure_tolerance == 15
-    assert big.n_candidates == 5000
-    assert big.perturbation_prob == pytest.approx(20 / 60)
+    # failures before a halving: max(4, ceil(D / batch_size))
+    for dim, batch, tolerance in ((8, 8, 4), (60, 4, 15), (2, 4, 4)):
+        pt = np.full(dim, 0.5)
+        st = update_region(new_state(), 1.0, pt, batch)
+        for _ in range(tolerance - 1):
+            st = update_region(st, 2.0, pt, batch)
+        assert st.length == 0.8 and st.failure_count == tolerance - 1
+        st = update_region(st, 2.0, pt, batch)
+        assert st.length == 0.4 and st.failure_count == 0
+    # n_candidates None means min(100 D, 5000), and each coordinate
+    # moves off the center with probability min(1, 20 / D)
+    rng = np.random.default_rng(0)
+    for dim, count, prob in ((8, 800, 1.0), (60, 5000, 20 / 60)):
+        space = SearchSpace([ParamSpec(f"x{i}", "real", lo=0.0, hi=1.0) for i in range(dim)])
+        st = update_region(new_state(), 1.0, np.full(dim, 0.5), 4)
+        cand = generate_candidates(st, None, space, rng, TrustRegionConfig())
+        assert cand.shape == (count, dim)
+        assert np.mean(cand != st.center) == pytest.approx(prob, abs=0.01)
+    cand = generate_candidates(st, None, space, rng, TrustRegionConfig(n_candidates=37))
+    assert cand.shape == (37, 60)
 
 
 def test_config_rejects_bad_lengths():
-    with pytest.raises(ValueError):
-        TrustRegionConfig(length_init=0.0)
-    with pytest.raises(ValueError):
-        TrustRegionConfig(length_min=0.5, length_init=0.4)
-    with pytest.raises(ValueError):
-        TrustRegionConfig(length_max=0.5, length_init=0.8)
+    # the floor must lie below the initial length 0.8
+    for bad in (0.0, -0.1, 0.8, 1.0, float("nan"), True):
+        with pytest.raises(ValueError):
+            TrustRegionConfig(length_min=bad)
+    for bad in (0, 2.5, 100.0, True, "100"):
+        with pytest.raises(ValueError):
+            TrustRegionConfig(n_candidates=bad)
+    assert TrustRegionConfig(length_min=0.79, n_candidates=1).n_candidates == 1
 
 
 # --- state machine ------------------------------------------------------
 
-
-def cfg_d2():
-    return TrustRegionConfig().resolve(dim=2, batch_size=4)
+# D = 2 in batches of 4: a halving takes max(4, ceil(2 / 4)) = 4 failures
+BATCH = 4
 
 
 def test_fresh_state_has_no_center_and_no_incumbent():
-    cfg = cfg_d2()
-    st = new_state(cfg)
+    st = new_state()
     assert st.center is None
-    assert st.length == cfg.length_init
+    assert st.length == 0.8
     assert st.best_value == np.inf
     with pytest.raises(ValueError):
         region_bounds(st)
 
 
 def test_first_finite_value_recenters_as_a_success():
-    cfg = cfg_d2()
-    st = update_region(new_state(cfg), 10.0, np.array([0.3, 0.7]), cfg)
+    st = update_region(new_state(), 10.0, np.array([0.3, 0.7]), BATCH)
     assert st.success_count == 1 and st.failure_count == 0
     assert st.best_value == 10.0
     np.testing.assert_array_equal(st.center, [0.3, 0.7])
 
 
 def test_successes_double_length_at_tolerance():
-    cfg = cfg_d2()
-    st = new_state(cfg)
+    st = new_state()
     for i, v in enumerate((10.0, 8.0, 6.0)):
-        st = update_region(st, v, np.array([0.4, 0.6]), cfg)
+        st = update_region(st, v, np.array([0.4, 0.6]), BATCH)
         assert st.best_value == v
         if i < 2:
-            assert st.length == cfg.length_init
+            assert st.length == 0.8
             assert st.success_count == i + 1
     # third consecutive success doubles and resets the counter
-    assert st.length == pytest.approx(min(2 * cfg.length_init, cfg.length_max))
+    assert st.length == pytest.approx(1.6)
     assert st.success_count == 0
     np.testing.assert_array_equal(st.center, [0.4, 0.6])
 
 
 def test_length_never_exceeds_maximum():
-    cfg = cfg_d2()
-    st = new_state(cfg)
+    st = new_state()
     v = 100.0
-    for _ in range(4 * cfg.success_tolerance):
+    for _ in range(12):
         v -= 10.0
-        st = update_region(st, v, np.array([0.5, 0.5]), cfg)
-    assert st.length == cfg.length_max
+        st = update_region(st, v, np.array([0.5, 0.5]), BATCH)
+    assert st.length == 1.6
 
 
 def test_failures_halve_length_at_tolerance():
-    cfg = cfg_d2()
-    st = update_region(new_state(cfg), 5.0, np.array([0.5, 0.5]), cfg)
-    for i in range(cfg.failure_tolerance):
-        st = update_region(st, 9.0, np.array([0.2, 0.2]), cfg)
-        assert st.failure_count == (i + 1) % cfg.failure_tolerance
-    assert st.length == pytest.approx(cfg.length_init / 2)
+    st = update_region(new_state(), 5.0, np.array([0.5, 0.5]), BATCH)
+    for i in range(4):
+        st = update_region(st, 9.0, np.array([0.2, 0.2]), BATCH)
+        assert st.failure_count == (i + 1) % 4
+    assert st.length == pytest.approx(0.4)
     # a non-improving batch point must not move the center
     np.testing.assert_array_equal(st.center, [0.5, 0.5])
 
 
 def test_tiny_improvement_counts_as_failure():
-    cfg = cfg_d2()
-    st = update_region(new_state(cfg), 10.0, np.array([0.5, 0.5]), cfg)
+    st = update_region(new_state(), 10.0, np.array([0.5, 0.5]), BATCH)
     # within the relative margin 1e-3 |incumbent|: scored as a failure
-    st = update_region(st, 10.0 - 1e-5, np.array([0.6, 0.6]), cfg)
+    st = update_region(st, 10.0 - 1e-5, np.array([0.6, 0.6]), BATCH)
     assert st.failure_count == 1
     assert st.success_count == 0
     assert st.best_value == 10.0
 
 
 def test_mixed_events_reset_opposite_counter():
-    cfg = cfg_d2()
-    st = update_region(new_state(cfg), 10.0, np.array([0.5, 0.5]), cfg)
-    st = update_region(st, 8.0, np.array([0.5, 0.5]), cfg)  # success
+    st = update_region(new_state(), 10.0, np.array([0.5, 0.5]), BATCH)
+    st = update_region(st, 8.0, np.array([0.5, 0.5]), BATCH)  # success
     assert st.success_count == 2 and st.failure_count == 0
-    st = update_region(st, 9.0, np.array([0.5, 0.5]), cfg)  # failure
+    st = update_region(st, 9.0, np.array([0.5, 0.5]), BATCH)  # failure
     assert st.success_count == 0 and st.failure_count == 1
-    st = update_region(st, 6.0, np.array([0.5, 0.5]), cfg)  # success
+    st = update_region(st, 6.0, np.array([0.5, 0.5]), BATCH)  # success
     assert st.success_count == 1 and st.failure_count == 0
 
 
 def test_restart_threshold_at_length_min():
-    cfg = TrustRegionConfig(length_min=0.125).resolve(dim=2, batch_size=4)
-    st = update_region(new_state(cfg), 1.0, np.array([0.5, 0.5]), cfg)
+    cfg = TrustRegionConfig(length_min=0.125)
+    st = update_region(new_state(), 1.0, np.array([0.5, 0.5]), BATCH)
     halvings = 0
     while not needs_restart(st, cfg):
-        for _ in range(cfg.failure_tolerance):
-            st = update_region(st, 2.0, np.array([0.5, 0.5]), cfg)
+        for _ in range(4):
+            st = update_region(st, 2.0, np.array([0.5, 0.5]), BATCH)
         halvings += 1
         assert halvings < 20
     # 0.8 -> 0.4 -> 0.2 -> 0.1 < 0.125 after three halvings
     assert halvings == 3
     assert st.length == pytest.approx(0.1)
 
-    fresh = restarted(st, np.array([0.9, 0.1]), cfg)
-    assert fresh.length == cfg.length_init
+    fresh = restarted(st, np.array([0.9, 0.1]))
+    assert fresh.length == 0.8
     assert fresh.restarts == st.restarts + 1
     assert fresh.best_value == np.inf
     assert fresh.success_count == 0 and fresh.failure_count == 0
@@ -283,10 +289,9 @@ def test_candidates_stay_inside_region_and_cube():
     X = space.snap(rng.random((12, 3)))
     y = X[:, 0] + X[:, 1] ** 2 + 0.1 * X[:, 2]
     model = gp_fit(X, y, space)
-    cfg = TrustRegionConfig().resolve(dim=3, batch_size=4)
-    st = update_region(new_state(cfg), float(y.min()), np.array([0.5, 0.5, 0.5]), cfg)
-    cand = generate_candidates(st, model, space, rng, cfg)
-    assert cand.shape == (cfg.n_candidates, 3)
+    st = update_region(new_state(), float(y.min()), np.array([0.5, 0.5, 0.5]), 4)
+    cand = generate_candidates(st, model, space, rng, TrustRegionConfig())
+    assert cand.shape == (300, 3)  # min(100 D, 5000)
     ls = np.ones(3)
     ls[space.blocks.x] = model.params.lengthscales
     lo, hi = region_bounds(st, ls)
@@ -301,10 +306,8 @@ def test_candidates_perturb_at_least_one_coordinate():
     X = rng.random((8, 30))
     y = X.sum(axis=1)
     model = gp_fit(X, y, space)
-    cfg = TrustRegionConfig().resolve(dim=30, batch_size=4)
-    assert cfg.perturbation_prob == pytest.approx(20 / 30)
-    st = update_region(new_state(cfg), float(y.min()), np.full(30, 0.5), cfg)
-    cand = generate_candidates(st, model, space, rng, cfg)
+    st = update_region(new_state(), float(y.min()), np.full(30, 0.5), 4)
+    cand = generate_candidates(st, model, space, rng, TrustRegionConfig())
     moved = np.sum(cand != st.center, axis=1)
     assert moved.min() >= 1
     # with probability 2/3 per coordinate, most rows leave some fixed
@@ -317,8 +320,8 @@ def test_candidate_stream_is_reproducible():
     X = rng.random((10, 2))
     y = X[:, 0]
     model = gp_fit(X, y, space)
-    cfg = TrustRegionConfig().resolve(dim=2, batch_size=4)
-    st = update_region(new_state(cfg), 0.1, np.array([0.4, 0.6]), cfg)
+    cfg = TrustRegionConfig()
+    st = update_region(new_state(), 0.1, np.array([0.4, 0.6]), 4)
     c1 = generate_candidates(st, model, space, np.random.default_rng(99), cfg)
     c2 = generate_candidates(st, model, space, np.random.default_rng(99), cfg)
     np.testing.assert_array_equal(c1, c2)
