@@ -376,8 +376,9 @@ class Optimizer:
             evaluations: each is recorded as +inf (so -inf never becomes
             the best value) and flagged in the history rather than
             rejected, with one RuntimeWarning per batch that had any.
-            A boolean, or a value ``float()`` rejects, raises
-            ProtocolError, and a rejected batch changes no state.
+            A boolean, a string (even a numeric one), or a value
+            ``float()`` rejects raises ProtocolError, and a rejected
+            batch changes no state.
         """
         if self._pending is None:
             raise ProtocolError("observe called with no pending suggestion")
@@ -392,9 +393,12 @@ class Optimizer:
             if dict(given) != expected:
                 raise ProtocolError("observed points do not match the pending suggestion")
 
-        # float(True) is 1.0, but a boolean objective value is a caller's bug
+        # float(True) is 1.0 and float("0.25") is 0.25, but a boolean or a
+        # string objective value is a caller's bug (np.str_ is a str)
         if any(isinstance(v, (bool, np.bool_)) for v in values):
             raise ProtocolError("observed values must be numbers, not booleans")
+        if any(isinstance(v, (str, bytes, bytearray)) for v in values):
+            raise ProtocolError("observed values must be numbers, not strings")
         try:
             floats = [float(v) for v in values]
         except (TypeError, ValueError, OverflowError) as exc:

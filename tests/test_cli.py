@@ -214,6 +214,24 @@ def test_serve_rejects_boolean_values_then_takes_numbers():
     assert replies[-1]["value"] == 0.0
 
 
+def test_serve_rejects_numeric_string_values_then_takes_numbers():
+    out = io.StringIO()
+
+    def client():
+        yield hello_line({"batch_size": 2, "seed": 0})
+        yield '{"kind": "suggest_request"}'
+        pts = json.loads(out.getvalue().splitlines()[-1])["points"]
+        yield json.dumps({"kind": "observe", "points": pts, "values": ["0.25", "1e3"]})
+        yield json.dumps({"kind": "observe", "points": pts, "values": [1.0, 0.5]})
+        yield '{"kind": "best"}'
+
+    assert serve(client(), out) == 0
+    replies = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert [r["kind"] for r in replies] == ["ack", "suggestions", "error", "ack", "best"]
+    assert "strings" in replies[2]["message"]
+    assert replies[-1]["value"] == 0.5
+
+
 def test_serve_recovers_after_any_exception_in_suggest(monkeypatch):
     real_suggest = Optimizer.suggest
     calls = []

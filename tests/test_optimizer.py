@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mixbo
+from mixbo import surrogate
 from mixbo.bench import get_objective
 from mixbo.optimizer import (
     ConfigError,
@@ -242,6 +243,25 @@ def test_runs_are_deterministic_for_a_seed():
     assert a.best() == b.best()
 
 
+def test_runs_are_deterministic_for_a_seed_above_the_single_precision_threshold(monkeypatch):
+    # model rounds over 3000 candidates draw through spotrf, which must
+    # give the same bits for the same inputs
+    factored = []
+    spotrf = surrogate.spotrf
+    monkeypatch.setattr(surrogate, "spotrf", lambda a, **kw: factored.append(len(a)) or spotrf(a, **kw))
+    space = small_space()
+    cfg = OptimizerConfig(batch_size=4, seed=11, turbo=TrustRegionConfig(n_candidates=3000))
+    a, b = Optimizer(space, cfg), Optimizer(space, cfg)
+    for _ in range(5):
+        pa, pb = a.suggest(), b.suggest()
+        assert pa == pb
+        vals = [bowl(p) for p in pa]
+        a.observe(pa, vals)
+        b.observe(pb, vals)
+    assert factored and min(factored) > surrogate._SINGLE_PRECISION_Q
+    assert a.best() == b.best()
+
+
 def test_different_seeds_diverge():
     space = small_space()
     a = Optimizer(space, OptimizerConfig(batch_size=4, seed=1))
@@ -292,6 +312,21 @@ def test_boolean_values_are_rejected_and_change_nothing(bad):
     opt.observe(pts, [1.0, 0.0])
     assert [ob.value for ob in opt.history] == [1.0, 0.0]
     assert opt.best()[1] == 0.0
+
+
+@pytest.mark.parametrize(
+    "bad", [["0.25", "1e3"], [1.0, b"0.25"], [np.str_("0.25"), 1.0]], ids=["str", "bytes", "numpy_str"]
+)
+def test_numeric_strings_are_rejected_and_change_nothing(bad):
+    opt = Optimizer(small_space(), OptimizerConfig(batch_size=2, seed=3))
+    pts = opt.suggest()
+    before = opt.diagnostics
+    # float("0.25") is 0.25, so without the check this batch would be recorded
+    with pytest.raises(ProtocolError, match="strings"):
+        opt.observe(pts, bad)
+    assert opt.history == () and opt.diagnostics == before
+    opt.observe(pts, [1.0, 0.5])
+    assert opt.best()[1] == 0.5
 
 
 def test_failed_evaluations_survive_the_model_phase():
