@@ -62,6 +62,7 @@ print("gram min eigenvalue:", float(np.linalg.eigvalsh(G).min().round(8)))
 values = np.array([np.sin(6 * h[0]) + 0.3 * h[2] + 0.2 * h[3] for h in H])
 model = gp_fit(H, values, space)
 print("fitted lam:", round(model.params.lam, 3), "log likelihood:", round(model.log_likelihood, 2))
+print("likelihood evaluations of the search:", model.evaluations)
 
 Q = space.snap(rng.random((4, space.dim)))
 mu, cov = gp_posterior(model, Q)

@@ -21,7 +21,13 @@ chosen by maximizing the log marginal likelihood with a deterministic
 multi-start coordinate search under a hard budget of likelihood
 evaluations, so fits are reproducible and their cost is bounded. Every
 training Gram of a fit, searched or final, comes from one builder and
-is factored in its buffer by LAPACK ``potrf``.
+is factored in its buffer by LAPACK ``potrf``. The builder keeps the
+pieces of its last Gram and rebuilds only those a probe changed: only a
+lengthscale probe recomputes the scaled distances and the Matern
+factors, a signal-variance probe rescales the Matern Gram and
+recomposes, a lam probe only recomposes, and a noise probe copies the
+noiseless Gram and adds the noise to its diagonal. Each Gram has the
+bits of a build from scratch.
 
 Large matrices are built and factored in place. A Gram is filled into
 one preallocated output a row tile at a time, each tile holding about
@@ -280,21 +286,28 @@ def _copy_triangle(m: np.ndarray) -> None:
         np.copyto(block, block.T, where=np.tri(block.shape[0], k=-1, dtype=bool))
 
 
-def _matern_gram_from_d2(d2: np.ndarray, signal_variance: float) -> np.ndarray:
-    """Matern 5/2 Gram from squared scaled distances; d2 is overwritten.
+def _matern_factors(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two lengthscale-only factors of the Matern 5/2 Gram; d2 is overwritten.
 
-    Evaluates ``s * (1 + sqrt(5) d + 5/3 d2) * exp(-sqrt(5) d)`` in place,
-    with the same operations in the same order as the expression.
+    Returns ``(sqrt(5) d + 1) + 5/3 d2`` and ``exp(-sqrt(5) d)`` for the
+    squared scaled distances d2. The Gram is ``s * poly * expo``, with s
+    multiplying the polynomial before the exponential factor does, as
+    :func:`_matern` computes it.
     """
     d = np.sqrt(d2)
-    g = d * SQRT5
-    g += 1.0
+    poly = d * SQRT5
+    poly += 1.0
     d2 *= 5.0 / 3.0
-    g += d2
-    g *= signal_variance
+    poly += d2
     d *= -SQRT5
-    g *= np.exp(d, out=d)
-    return g
+    return poly, np.exp(d, out=d)
+
+
+def _matern(poly: np.ndarray, expo: np.ndarray, signal_variance: float, out: np.ndarray) -> np.ndarray:
+    """Write the Matern 5/2 Gram ``(signal_variance * poly) * expo`` to out."""
+    np.multiply(poly, signal_variance, out=out)
+    out *= expo
+    return out
 
 
 def _indicator_gram(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
@@ -315,19 +328,22 @@ def _compose(grams, lam: float, out: np.ndarray) -> np.ndarray:
     """``(1 - lam) * sum + lam * product`` of the block Grams that are present.
 
     The result is written to ``out``. Sum and product start from the
-    first Gram, as ``0 + g`` and ``1 * g`` are exact. The Grams
+    first two Grams, as ``0 + g`` and ``1 * g`` are exact. The Grams
     themselves are never modified.
     """
-    prod = None
-    for g in grams:
-        if prod is None:
-            out[...] = g
-            prod = g.copy()
-        else:
-            out += g
-            prod *= g
-    if prod is None:
+    if not grams:
         raise ValueError("cannot evaluate a kernel over zero dimensions")
+    first, rest = grams[0], grams[1:]
+    if rest:
+        np.add(first, rest[0], out=out)
+        prod = np.multiply(first, rest[0])
+        rest = rest[1:]
+    else:
+        np.copyto(out, first)
+        prod = first.copy()
+    for g in rest:
+        out += g
+        prod *= g
     out *= 1.0 - lam
     prod *= lam
     out += prod
@@ -357,7 +373,8 @@ def _gram_tile(a: np.ndarray, b: np.ndarray, params: KernelParams, blocks: Block
         piece = slice(start, start + step)
         grams = []
         if d2 is not None:
-            grams.append(_matern_gram_from_d2(d2[piece], params.signal_variance))
+            poly, expo = _matern_factors(d2[piece])
+            grams.append(_matern(poly, expo, params.signal_variance, poly))
         if lin is not None:
             grams.append(lin[piece])
         if blocks.z.size:
@@ -432,8 +449,10 @@ class GpModel:
     Stores the training design in warped coordinates, the standardized
     Cholesky factorization, and everything needed to evaluate posterior
     quantities. ``target_mean`` and ``target_std`` undo the internal
-    standardization. ``_chol`` is the lower Cholesky factor of the
-    training Gram in Fortran order, exactly zero above the diagonal.
+    standardization. ``evaluations`` counts the likelihood evaluations
+    of the hyperparameter search, not the final factorization. ``_chol``
+    is the lower Cholesky factor of the training Gram in Fortran order,
+    exactly zero above the diagonal.
     """
 
     inputs: np.ndarray
@@ -444,6 +463,7 @@ class GpModel:
     target_mean: float
     target_std: float
     jitter: float
+    evaluations: int
     _chol: np.ndarray
     _alpha: np.ndarray
 
@@ -479,7 +499,7 @@ def _cholesky(fill, first: float, retries: int, relative: bool = False) -> tuple
             m[np.diag_indices_from(m)] += jitter
         potrf = spotrf if m.dtype == np.float32 else dpotrf
         c, info = potrf(m.T, lower=1, clean=0, overwrite_a=1)
-        if info == 0 and np.all(np.diag(c) > 0):
+        if info == 0 and (c.diagonal() > 0).all():
             return c, jitter
         del m, c  # before the next fill allocates its matrix
     return None, jitter
@@ -508,27 +528,53 @@ def _training_gram(X: np.ndarray, blocks: Blocks):
     The x-block's per-dimension squared differences and the linear and
     indicator Grams are computed once; each is the same for (i, j) as
     for (j, i), so every Gram is exactly symmetric.
+
+    A call rebuilds only the pieces whose inputs differ from the last
+    call's: the two lengthscale-only Matern factors when a lengthscale
+    changed, the Matern Gram when they or the signal variance changed,
+    and the noiseless composed Gram when the Matern Gram or lam changed.
+    So a probe of the signal variance recomposes without the distances
+    or the exponential, a probe of lam only recomposes, and a probe of
+    the noise only copies the noiseless Gram into the returned buffer
+    and adds the noise to its diagonal. A piece is rebuilt with the
+    operations of a full build, so every Gram has the same bits whatever
+    came before it. The returned buffer is none of the kept pieces, so
+    ``potrf`` may overwrite it.
     """
     n = X.shape[0]
     dx = blocks.x.size
     Xx = X[:, blocks.x]
-    diff2 = (Xx[:, None, :] - Xx[None, :, :]) ** 2 if dx else None
+    diff2 = ((Xx[:, None, :] - Xx[None, :, :]) ** 2).reshape(n * n, dx) if dx else None
     fixed = []
     if blocks.y.size:
         Y = X[:, blocks.y]
         fixed.append(Y @ Y.T)
     if blocks.z.size:
         fixed.append(_indicator_gram(X[:, blocks.z], X[:, blocks.z]))
+    matern = np.empty((n, n)) if dx else None
+    noiseless = np.empty((n, n))
     work = np.empty((n, n))
-    diag = np.diag_indices(n)
+    diag = work.reshape(-1)[:: n + 1]
+    poly = expo = last_ls = last_sv = last_lam = None
 
     def gram(theta: np.ndarray, lam: float) -> np.ndarray:
-        grams = fixed
+        nonlocal poly, expo, last_ls, last_sv, last_lam
         if dx:
-            d2 = np.tensordot(diff2, 1.0 / np.exp(theta[:dx]) ** 2, axes=([2], [0]))
-            grams = [_matern_gram_from_d2(d2, math.exp(theta[dx])), *fixed]
-        _compose(grams, lam, work)
-        work[diag] += math.exp(theta[dx + 1])
+            # bytes are a copy: the search moves one trial array in place
+            # between probes
+            if theta[:dx].tobytes() != last_ls:
+                # the product np.tensordot makes, without its wrapper
+                w = (1.0 / np.exp(theta[:dx]) ** 2).reshape(dx, 1)
+                poly, expo = _matern_factors(np.dot(diff2, w).reshape(n, n))
+                last_ls, last_sv = theta[:dx].tobytes(), None
+            if theta[dx] != last_sv:
+                _matern(poly, expo, math.exp(theta[dx]), matern)
+                last_sv, last_lam = float(theta[dx]), None
+        if lam != last_lam:
+            _compose([matern, *fixed] if dx else fixed, lam, noiseless)
+            last_lam = lam
+        np.copyto(work, noiseless)
+        np.add(diag, math.exp(theta[dx + 1]), out=diag)
         return work
 
     return gram
@@ -595,14 +641,18 @@ def gp_fit(
     sweeps of coordinate-wise golden-section refinement of the log
     lengthscales, the log signal variance (with an x-block) and the log
     noise variance, then a scan of the mixing weights 0, 0.25, ..., 1.
+    Each probe rebuilds only the parts of the training Gram it changed:
+    signal-variance probes and the lam scan reuse the lengthscale-only
+    Matern factors, and noise probes reuse the whole noiseless Gram.
     Lengthscales lie in [0.005, 2], the signal variance in [0.05, 20]
     and the noise variance in [1e-6, 1e-2]. The search is
-    deterministic and stops after 2000 likelihood evaluations. The
-    fitted likelihood is never below the likelihood at the default
-    hyperparameters because the first start probes them. The final
-    factorization escalates diagonal jitter from 1e-8 by factors of 10
-    up to 1e-2 before raising NumericalError; without jitter, the log
-    likelihood is the evidence of the Gram the model holds.
+    deterministic and stops after 2000 likelihood evaluations, which
+    ``GpModel.evaluations`` counts. The fitted likelihood is never
+    below the likelihood at the default hyperparameters because the
+    first start probes them. The final factorization escalates diagonal
+    jitter from 1e-8 by factors of 10 up to 1e-2 before raising
+    NumericalError; without jitter, the log likelihood is the evidence
+    of the Gram the model holds.
     """
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float).ravel()
@@ -641,7 +691,7 @@ def gp_fit(
         if c is None:
             return -np.inf
         alpha, _ = dpotrs(c, ys, lower=1)
-        return float(-0.5 * ys @ alpha - np.sum(np.log(np.diag(c))) - 0.5 * n * math.log(2.0 * math.pi))
+        return float(-0.5 * ys @ alpha - np.log(c.diagonal()).sum() - 0.5 * n * math.log(2.0 * math.pi))
 
     # theta = (log lengthscales, log signal variance, log noise variance);
     # the signal variance scales only the Matern Gram
@@ -710,6 +760,7 @@ def gp_fit(
         target_mean=mean,
         target_std=std,
         jitter=jitter,
+        evaluations=evals,
         _chol=chol,
         _alpha=alpha,
     )

@@ -275,10 +275,12 @@ def test_fit_never_does_worse_than_default_parameters(monkeypatch):
     X = sample_inputs(rng, space, 14)
     y = np.sin(4 * X[:, 0]) + 0.5 * X[:, 2] + (X[:, 3] > 0.4)
     model = gp_fit(X, y, space)
+    assert model.evaluations <= surrogate._MAX_FIT_EVALS
     # the search evaluates the default start first and keeps the best
     # point seen, so a truncated budget can never beat the full one
     monkeypatch.setattr(surrogate, "_MAX_FIT_EVALS", 10)
     stub = gp_fit(X, y, space)
+    assert stub.evaluations == 10
     assert model.log_likelihood >= stub.log_likelihood - 1e-9
 
 
@@ -303,6 +305,37 @@ def test_fitted_log_likelihood_is_the_evidence_of_the_model_gram(present):
     theta = np.log([*p.lengthscales, p.signal_variance, p.noise_variance])
     G = surrogate._training_gram(X, space.blocks)(theta, p.lam)
     assert np.array_equal(G, G.T)
+
+
+@pytest.mark.parametrize("present", ["x", "xy", "xz", "xyz", "z"])
+def test_training_gram_reuse_gives_the_bits_of_a_fresh_build(present):
+    space = SearchSpace([p for key in present for p in BLOCK_PARAMS[key]])
+    rng = np.random.default_rng(43)
+    X = sample_inputs(rng, space, 13)
+    dx = space.blocks.x.size
+    gram = surrogate._training_gram(X, space.blocks)
+    first = np.log([*[0.4] * dx, 1.5, 1e-3])
+
+    def probe(theta, lam):
+        got = gram(theta, lam)
+        assert np.array_equal(got, surrogate._training_gram(X, space.blocks)(theta.copy(), lam))
+        got.fill(np.nan)  # as potrf overwrites it
+
+    theta = first.copy()
+    probe(theta, 0.5)
+    theta[dx + 1] = np.log(3e-4)  # noise only
+    probe(theta, 0.5)
+    theta[dx] = np.log(0.7)  # signal only
+    probe(theta, 0.5)
+    probe(theta, 0.25)  # lam only
+    # one lengthscale (the noise without an x-block), then the same array
+    # moved in place, as the search moves its trial array between probes
+    k = 0 if dx else dx + 1
+    theta[k] = np.log(0.09)
+    probe(theta, 0.25)
+    theta[k] += 0.6
+    probe(theta, 0.25)
+    probe(first, 0.5)  # back to the first point
 
 
 def test_targets_at_the_float64_limit_give_a_finite_model():
@@ -538,7 +571,15 @@ def test_cholesky_failure_leaves_the_source_unchanged(tile, monkeypatch):
     indefinite[np.diag_indices(9)] -= 20.0
     source = indefinite.copy()
     fills = []
-    got, jitter = surrogate._cholesky(lambda: fills.append(indefinite.copy()) or fills[-1], 1e-10, 6)
+
+    def fill():
+        # mirrored tile by tile: 4 x 4 tiles when _TILE_ELEMENTS is 16
+        m = np.triu(indefinite)
+        surrogate._copy_triangle(m)
+        fills.append(m)
+        return m
+
+    got, jitter = surrogate._cholesky(fill, 1e-10, 6)
     # it gives up after retries + 1 fills, each a fresh matrix, and writes
     # only into the matrices the fill handed it, never into what they came from
     assert got is None and jitter == pytest.approx(1e-5)
