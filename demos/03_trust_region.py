@@ -6,7 +6,7 @@ The optimizer samples candidates only inside a hyper-rectangle around
 the incumbent. The rectangle doubles after a streak of improving
 batches, halves after a streak of stalls, and a restart is signalled
 once it shrinks below a floor. The floor and the candidate count are
-the only settings; the rest follows TuRBO and the problem's size.
+the only settings; the rest is fixed or follows the problem's size.
 """
 
 import math

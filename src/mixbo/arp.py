@@ -108,7 +108,6 @@ class RegionClassifier:
     dual_coefs: np.ndarray
     bias: float
     kernel_gamma: float
-    trained_on: int
     train_accuracy: float
 
     def decision(self, points: np.ndarray) -> np.ndarray:
@@ -184,7 +183,6 @@ def fit_classifier(points: np.ndarray, labels: np.ndarray) -> RegionClassifier:
         dual_coefs=beta,
         bias=bias,
         kernel_gamma=gamma,
-        trained_on=n,
         train_accuracy=float(np.mean((dec >= 0.0) == lab)),
     )
 

@@ -13,8 +13,8 @@ chosen batch are then overwritten by the per-variable bandits.
 Every observed batch updates the trust region. When the region collapses
 below its minimum length the optimizer restarts it: the next batch is a
 fresh design drawn from the learned good region (uniform if partitioning
-is off or not yet active), and the region is re-centered at the most
-promising of those proposals under the current surrogate mean.
+is off or not yet active), and the region is re-centered on the best
+point of that restart batch.
 
 All randomness flows through a single generator seeded at construction,
 so runs with equal inputs are bit-for-bit reproducible.
@@ -35,7 +35,8 @@ from . import turbo as turbo_mod
 from .arp import DegenerateValuesError, RegionClassifier
 from .bandit import BanditState
 from .space import Blocks, Point, SearchSpace, is_integer
-from .surrogate import GpModel, gp_fit, gp_mean, gp_sample
+from .surrogate import GpModel, gp_fit, gp_sample
+from .surrogate import gp_mean  # unused here, but perfbench/tracing.py wraps optimizer.gp_mean
 from .turbo import TrustRegionConfig
 
 
@@ -229,7 +230,6 @@ class Optimizer:
         self._counters = {
             "gp_fits": 0,
             "arp_fits": 0,
-            "arp_filters": 0,
             "bandit_selects": 0,
             "bandit_updates": 0,
             "imputed_values": 0,
@@ -330,17 +330,14 @@ class Optimizer:
         cands = space.snap(cands)
 
         if cfg.enable_arp and len(self._history) >= max(16, 2 * space.dim):
-            clf = None
             try:
                 labels = arp_mod.label_observations(y)
-                clf = arp_mod.fit_classifier(X, labels)
-                self._classifier = clf
-                self._counters["arp_fits"] += 1
             except DegenerateValuesError:
                 pass  # a flat history carries no region signal this round
-            if clf is not None:
-                cands = arp_mod.filter_candidates(clf, cands)
-                self._counters["arp_filters"] += 1
+            else:
+                self._classifier = arp_mod.fit_classifier(X, labels)
+                self._counters["arp_fits"] += 1
+                cands = arp_mod.filter_candidates(self._classifier, cands)
 
         draws = gp_sample(model, cands, self._rng, count=cfg.batch_size)
         chosen: list[int] = []
@@ -443,28 +440,13 @@ class Optimizer:
             self._tr, imputed[bidx], pend.warped[bidx], self.config.batch_size
         )
         if turbo_mod.needs_restart(self._tr, self.config.turbo):
-            center = self._restart_center()
-            self._tr = turbo_mod.restarted(self._tr, center)
+            # The fresh region keeps the old center until the restart
+            # batch's best finite point re-centers it (best_value is +inf).
+            self._tr = turbo_mod.restarted(self._tr, self._tr.center)
             self._restart_pending = True
 
         self._pending = None
         self._iteration += 1
-
-    def _restart_center(self) -> np.ndarray:
-        """Most promising spot for a fresh region.
-
-        With an active partition, draw proposals from the good region
-        and take the one with the lowest surrogate mean; otherwise fall
-        back to a uniform random point.
-        """
-        if self.config.enable_arp and self._classifier is not None:
-            pts = arp_mod.restart_samples(self._classifier, self.space, self._rng, 100)
-            W = np.array([self.space.warp(p) for p in pts])
-            if self._model is not None:
-                means = gp_mean(self._model, W)
-                return W[int(np.argmin(means))]
-            return W[0]
-        return self.space.warp(self.space.random_point(self._rng))
 
 
 def create(space: SearchSpace, config: OptimizerConfig | None = None) -> Optimizer:

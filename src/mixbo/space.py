@@ -148,8 +148,11 @@ class ParamSpec:
         elif self.kind == "integer":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValidationError(f"parameter {self.name!r}: expected an integer, got {value!r}")
-            if float(value) != int(value):
-                raise ValidationError(f"parameter {self.name!r}: value {value!r} is not integral")
+            if isinstance(value, float):
+                if not math.isfinite(value):
+                    raise ValidationError(f"parameter {self.name!r}: value {value!r} is not finite")
+                if value != int(value):
+                    raise ValidationError(f"parameter {self.name!r}: value {value!r} is not integral")
             if not (self.lo <= value <= self.hi):
                 raise ValidationError(
                     f"parameter {self.name!r}: value {value!r} outside [{self.lo}, {self.hi}]"

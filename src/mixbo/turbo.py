@@ -10,8 +10,10 @@ per-dimension sides weighted by the fitted Matern lengthscales, and are
 sparsified so that each candidate differs from the center only in a
 random subset of coordinates. The floor and the candidate count are the
 only settings (:class:`TrustRegionConfig`); the region's other rules
-are TuRBO's and fixed, some of them worked out from the dimension and
-the batch size.
+are fixed. The initial length, its cap and the run of successes that
+doubles it are TuRBO's; the run of failures that halves it and the
+perturbation probability are worked out from the dimension and the
+batch size.
 
 The Sobol generator is self-contained. It walks the sequence in Gray
 code order using direction numbers shipped with the package (data file
@@ -97,10 +99,10 @@ def new_state() -> TrustRegionState:
     )
 
 
-def restarted(state: TrustRegionState, center: np.ndarray) -> TrustRegionState:
+def restarted(state: TrustRegionState, center: np.ndarray | None) -> TrustRegionState:
     """Reset geometry and incumbent at a new center, bumping the restart count."""
     return TrustRegionState(
-        center=np.asarray(center, dtype=float).copy(),
+        center=None if center is None else np.asarray(center, dtype=float).copy(),
         length=_LENGTH_INIT,
         success_count=0,
         failure_count=0,

@@ -109,7 +109,6 @@ def test_classifier_solves_the_least_squares_system(svm_c):
     clf = fit_classifier(X, y)
     beta = clf.dual_coefs
     assert clf.support_vectors.shape == X.shape
-    assert clf.trained_on == 40
     assert abs(beta.sum()) <= 1e-12
     signs = np.where(y, 1.0, -1.0)
     np.testing.assert_allclose(clf.decision(X), signs - beta / svm_c, rtol=0.0, atol=1e-10)
@@ -156,7 +155,6 @@ def bump_classifier():
         dual_coefs=np.array([1.0]),
         bias=-0.5,
         kernel_gamma=4.0,
-        trained_on=4,
         train_accuracy=1.0,
     )
 

@@ -413,7 +413,7 @@ def test_flags_disable_components():
     opt = Optimizer(space, cfg)
     drive(opt, bowl, 6)
     d = opt.diagnostics
-    assert d["arp_fits"] == 0 and d["arp_filters"] == 0
+    assert d["arp_fits"] == 0
     assert d["bandit_selects"] == 0 and d["bandit_updates"] == 0
     assert d["gp_fits"] > 0
 
@@ -446,6 +446,104 @@ def test_restart_fires_when_region_collapses():
     assert restarts == [0, 0, 0, 0, 1, 1, 1, 1, 1, 2]
     # the restart count is reported once
     assert "tr_restarts" not in opt.diagnostics
+
+
+def collapsing_optimizer(space):
+    """One halving takes the region from 0.8 to 0.4, below the 0.5 floor."""
+    return Optimizer(space, OptimizerConfig(batch_size=4, seed=9, turbo=TrustRegionConfig(length_min=0.5)))
+
+
+def test_a_failed_restart_batch_keeps_the_collapsed_center():
+    space = small_space()
+    opt = collapsing_optimizer(space)
+    # round 1 improves on round 0, then 4 flat rounds halve the region
+    # below the floor
+    while opt.diagnostics["restarts"] == 0:
+        pts = opt.suggest()
+        values = [5.0] * len(pts)
+        if opt.diagnostics["iterations"] == 1:
+            values[2] = 1.0
+        collapsed = opt._tr.center
+        opt.observe(pts, values)
+    assert opt.diagnostics["iterations"] == 6 and collapsed is not None
+    pts = opt.suggest()  # the restart batch
+    with pytest.warns(RuntimeWarning):
+        opt.observe(pts, [float("nan")] * len(pts))
+    np.testing.assert_array_equal(opt._tr.center, collapsed)
+    fits = opt.diagnostics["gp_fits"]
+    pts = opt.suggest()  # a model batch around the kept center
+    assert opt.diagnostics["gp_fits"] == fits + 1 and len(pts) == 4
+    for p in pts:
+        space.validate(p)
+    # the region's first finite value re-centers it, even one worse than
+    # the global best
+    opt.observe(pts, [9.0, 7.0, 9.0, 9.0])
+    np.testing.assert_array_equal(opt._tr.center, space.warp(pts[1]))
+
+
+def test_a_region_that_never_saw_a_finite_value_restarts_without_a_center():
+    opt = collapsing_optimizer(small_space())
+    with pytest.warns(RuntimeWarning):
+        for _ in range(7):
+            pts = opt.suggest()
+            opt.observe(pts, [float("nan")] * len(pts))
+    assert opt.diagnostics["restarts"] == 1 and opt._tr.center is None
+    assert opt.diagnostics["gp_fits"] == 0
+
+
+def step(pt):
+    """Two levels split on x, so the region classifier has a boundary to learn."""
+    return 1.0 if pt["x"] < 0.5 else 2.0
+
+
+def record_restart_calls(monkeypatch):
+    from mixbo import arp, optimizer
+
+    calls = {"restart_samples": [], "gp_mean": 0}
+    samples, mean = arp.restart_samples, optimizer.gp_mean
+
+    def restart_samples(clf, space, rng, count):
+        calls["restart_samples"].append(count)
+        return samples(clf, space, rng, count)
+
+    def gp_mean(*args):
+        calls["gp_mean"] += 1
+        return mean(*args)
+
+    monkeypatch.setattr(arp, "restart_samples", restart_samples)
+    monkeypatch.setattr(optimizer, "gp_mean", gp_mean)
+    return calls
+
+
+def test_a_restart_draws_only_its_batch_from_the_good_region(monkeypatch):
+    calls = record_restart_calls(monkeypatch)
+    opt = collapsing_optimizer(small_space())
+    while opt.diagnostics["restarts"] == 0:
+        drive(opt, step, 1)
+    assert opt._classifier is not None
+    opt.suggest()
+    assert calls == {"restart_samples": [4], "gp_mean": 0}
+
+
+def test_restarts_after_partitioning_keep_the_loop_valid(monkeypatch):
+    calls = record_restart_calls(monkeypatch)
+    space = small_space()
+    opt = collapsing_optimizer(space)
+    restarts_with_classifier = 0
+    for _ in range(16):
+        pts = opt.suggest()
+        for p in pts:
+            space.validate(p)
+        before = opt._tr
+        opt.observe(pts, [step(p) for p in pts])
+        if opt._tr.restarts > before.restarts:
+            restarts_with_classifier += opt._classifier is not None
+            np.testing.assert_array_equal(opt._tr.center, before.center)
+    d = opt.diagnostics
+    assert d["restarts"] >= 3 and restarts_with_classifier >= 2
+    assert d["arp_fits"] > 0 and d["bandit_selects"] > 0
+    assert calls["restart_samples"] == [4] * restarts_with_classifier
+    assert calls["gp_mean"] == 0
 
 
 def test_history_is_append_only_copies():

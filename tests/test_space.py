@@ -143,6 +143,27 @@ def test_validate_value_rejects_out_of_domain():
         c.validate_value("z")
 
 
+@pytest.mark.parametrize("name", ["xr", "xl", "ni", "nl"])
+@pytest.mark.parametrize(
+    "value",
+    [float("inf"), float("-inf"), float("nan"), np.float64("nan"), 10**400],
+    ids=["inf", "-inf", "nan", "np.nan", "10**400"],
+)
+def test_non_finite_and_huge_numbers_are_validation_errors(name, value):
+    # int(inf) raises OverflowError, int(nan) a bare ValueError and
+    # float(10**400) OverflowError; every entry point must turn them into
+    # ValidationError
+    sp = mixed_space()
+    pt = sp.random_point(np.random.default_rng(0))
+    pt[name] = value
+    with pytest.raises(ValidationError):
+        sp.params[sp.names.index(name)].validate_value(value)
+    with pytest.raises(ValidationError):
+        sp.validate(pt)
+    with pytest.raises(ValidationError):
+        sp.warp(pt)
+
+
 # --- SearchSpace ------------------------------------------------------
 
 
