@@ -66,7 +66,8 @@ from mixbo import ParamSpec, SearchSpace
 
 space = SearchSpace([ParamSpec(f"x{i}", "real", lo=0.0, hi=1.0) for i in range(dim)])
 rng = np.random.default_rng(7)
-# n_candidates=None draws min(100 D, 5000) candidates
+# n_candidates=None draws min(100 D, 2048) candidates: at most 2048,
+# whose Thompson draws are always float64
 cands = generate_candidates(state, None, space, rng, cfg)
 lo, hi = region_bounds(state)  # unit lengthscales without a model
 inside = np.all((cands >= lo - 1e-12) & (cands <= hi + 1e-12), axis=1)

@@ -216,7 +216,6 @@ class Optimizer:
         self._init_design = space.snap(
             turbo_mod.sobol_points(n_batches * config.batch_size, space.dim, seed=design_seed)
         )
-        self._init_served = 0
         self._history: list[Observation] = []
         self._pending: _Pending | None = None
         self._tr = turbo_mod.new_state()
@@ -296,10 +295,10 @@ class Optimizer:
         return [dict(p) for p in points]
 
     def _next_init_batch(self) -> np.ndarray:
-        b = self.config.batch_size
-        lo = self._init_served
-        self._init_served += b
-        return self._init_design[lo : lo + b]
+        # suggest and observe alternate, so the history holds every
+        # point served so far
+        lo = len(self._history)
+        return self._init_design[lo : lo + self.config.batch_size]
 
     def _restart_batch(self) -> np.ndarray:
         b = self.config.batch_size

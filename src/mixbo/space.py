@@ -261,20 +261,32 @@ class SearchSpace:
     def index(self, name: str) -> int:
         return self._index[name]
 
-    def validate(self, point: Point) -> None:
-        """Raise ValidationError unless point has exactly one admissible value per parameter."""
+    def _values(self, point: Point):
+        """Yield (spec, value) per parameter, in order, checking only the keys.
+
+        Raises ValidationError first for any unknown key, then for a
+        missing parameter when its turn comes.
+        """
         extra = set(point) - set(self._index)
         if extra:
             raise ValidationError(f"unknown parameters: {sorted(extra)}")
         for p in self._params:
             if p.name not in point:
                 raise ValidationError(f"parameter {p.name!r} is missing")
-            p.validate_value(point[p.name])
+            yield p, point[p.name]
+
+    def validate(self, point: Point) -> None:
+        """Raise ValidationError unless point has exactly one admissible value per parameter."""
+        for p, value in self._values(point):
+            p.validate_value(value)
 
     def warp(self, point: Point) -> np.ndarray:
-        """Map a valid point to its coordinate vector in [0, 1]^D."""
-        self.validate(point)
-        return np.array([p.warp_value(point[p.name]) for p in self._params], dtype=float)
+        """Map a valid point to its coordinate vector in [0, 1]^D.
+
+        Raises ValidationError as :meth:`validate` does, checking each
+        value once, as it is warped.
+        """
+        return np.array([p.warp_value(value) for p, value in self._values(point)], dtype=float)
 
     def unwarp(self, coords: np.ndarray) -> Point:
         """Map a coordinate vector back to a point (inverse of warp on the lattice)."""

@@ -49,17 +49,10 @@ row rightwards, and everything below the diagonal is zero, so the
 factor needs no cleanup. A public square Gram is the upper triangle
 mirrored, so it is exactly symmetric.
 
-The precision of a draw depends on its candidate count q. Up to 2048
-candidates, the triangle is float64 and is factored by ``dpotrf``, so
-a draw holds one q x q float64 matrix plus a few tiles. Over more,
-every tile is still computed in float64 but rounded into a float32
-triangle that ``spotrf`` factors, in about half the time: such a draw
-holds one q x q float32 matrix plus float64 tiles. Entries below
-``eps**2`` times the mean posterior variance (``eps`` the float32
-machine epsilon) are zeroed, which keeps ``spotrf`` off subnormal
-numbers. Its first attempt already adds jitter of ``2 sqrt(q) eps``
-times the mean posterior variance, escalated by factors of 10 twice;
-past that, the draw is made in float64.
+A draw is always float64: the triangle is factored by ``dpotrf``, and
+a draw over q candidates holds one q x q float64 matrix plus a few
+tiles. At the default candidate count, ``min(100 D, 2048)``, that is at
+most 2048 candidates and 32 MB.
 """
 
 from __future__ import annotations
@@ -69,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs, spotrf
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .space import Blocks, SearchSpace
 
@@ -95,13 +88,6 @@ _ROW_ALIGN = 192
 #: tile, the kernel transforms and the composition run one block of
 #: whole rows of about this size at a time, so their passes stay in cache.
 _PIECE_ELEMENTS = 1 << 16
-
-#: Thompson draws over more candidates than this factor the posterior
-#: covariance in single precision; every draw of the ablation ladder
-#: (at most 800 candidates) stays below it.
-_SINGLE_PRECISION_Q = 2048
-
-_EPS32 = float(np.finfo(np.float32).eps)
 
 
 class NumericalError(RuntimeError):
@@ -472,33 +458,26 @@ class GpModel:
         return self.inputs.shape[0]
 
 
-def _cholesky(fill, first: float, retries: int, relative: bool = False) -> tuple[np.ndarray | None, float]:
+def _cholesky(fill, first: float, retries: int) -> tuple[np.ndarray | None, float]:
     """Lower Cholesky factor of the matrix ``fill()`` returns, in place, with jitter if needed.
 
-    ``fill()`` returns a C-contiguous float64 or float32 square matrix m
-    whose upper triangle holds the symmetric matrix. LAPACK ``dpotrf`` or
-    ``spotrf``, by m's dtype, factors the Fortran-ordered view ``m.T``,
-    whose lower triangle that is, in place. An attempt fails unless
-    ``potrf`` reports success and the factor's diagonal is positive (a
-    NaN pivot passes the first test). Each failure drops m and calls
-    ``fill()`` again, adding ``first``, ``10 * first``, ... to the
-    diagonal, ``retries`` times in all. With ``relative``, ``first`` is a
-    multiple of the mean of m's diagonal and the first attempt already
-    adds it, as the rounding of a single-precision fill calls for jitter
-    from the start. Returns ``m.T``, whose strict upper triangle is m's
-    untouched strict lower, and the jitter it took; or None and the last
-    jitter tried.
+    ``fill()`` returns a C-contiguous float64 square matrix m whose upper
+    triangle holds the symmetric matrix. LAPACK ``dpotrf`` factors the
+    Fortran-ordered view ``m.T``, whose lower triangle that is, in place.
+    An attempt fails unless ``dpotrf`` reports success and the factor's
+    diagonal is positive (a NaN pivot passes the first test). Each failure
+    drops m and calls ``fill()`` again, adding ``first``, ``10 * first``,
+    ... to the diagonal, ``retries`` times in all. Returns ``m.T``, whose
+    strict upper triangle is m's untouched strict lower, and the jitter it
+    took; or None and the last jitter tried.
     """
     jitter = 0.0
     for k in range(retries + 1):
         m = fill()
-        if relative and not k:
-            first *= float(np.mean(m.diagonal(), dtype=float))
-        if k or relative:
-            jitter = 10.0 * jitter if jitter else first
+        if k:
+            jitter = first if k == 1 else 10.0 * jitter
             m[np.diag_indices_from(m)] += jitter
-        potrf = spotrf if m.dtype == np.float32 else dpotrf
-        c, info = potrf(m.T, lower=1, clean=0, overwrite_a=1)
+        c, info = dpotrf(m.T, lower=1, clean=0, overwrite_a=1)
         if info == 0 and (c.diagonal() > 0).all():
             return c, jitter
         del m, c  # before the next fill allocates its matrix
@@ -781,17 +760,13 @@ def _check_queries(model: GpModel, queries: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _raw_posterior(model: GpModel, queries: np.ndarray, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+def _raw_posterior(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Standardized latent posterior mean and the upper triangle of its covariance.
 
     Each row tile of the prior covariance's upper triangle is built in
-    float64, and the explained part ``w.T @ w`` subtracted from it, in
-    the output itself when ``dtype`` is float64; for float32, in a tile
-    buffer that is then rounded into the output, so no q x q float64
-    matrix exists, and entries below ``eps**2`` times the mean variance
-    (``eps`` the float32 machine epsilon) are then zeroed. Everything
-    below the diagonal is exactly zero, so the matrix is ready for
-    :func:`_cholesky` and its factor for a product.
+    the output, and the explained part ``w.T @ w`` subtracted from it in
+    place. Everything below the diagonal is exactly zero, so the matrix
+    is ready for :func:`_cholesky` and its factor for a product.
     """
     Q = _check_queries(model, queries)
     ks = mixture_gram(model.inputs, Q, model.params, model.blocks)
@@ -799,25 +774,14 @@ def _raw_posterior(model: GpModel, queries: np.ndarray, dtype=np.float64) -> tup
     w = solve_triangular(model._chol, ks, lower=True, check_finite=False)
     del ks
     q = Q.shape[0]
-    cov = np.zeros((q, q), dtype)
-    in_place = cov.dtype == np.float64
+    cov = np.zeros((q, q))
     for rows in _row_tiles(q, q):
         cols = slice(rows.start, q)
-        tile = cov[rows, cols] if in_place else np.empty((rows.stop - rows.start, q - rows.start))
+        tile = cov[rows, cols]
         _gram_tile(Q[rows], Q[cols], model.params, model.blocks, tile)
         tile -= w[:, rows].T @ w[:, cols]
         block = tile[:, : rows.stop - rows.start]
         block[np.tri(block.shape[0], k=-1, dtype=bool)] = 0.0
-        if not in_place:
-            cov[rows, cols] = tile
-    if not in_place:
-        # products of entries this small are subnormal in float32, which
-        # slows spotrf several times over; together they move the matrix
-        # by at most q eps**2 of its mean variance, far below the jitter
-        floor = _EPS32**2 * float(np.mean(cov.diagonal(), dtype=float))
-        for rows in _row_tiles(q, q):
-            part = cov[rows, rows.start :]
-            part[np.abs(part) < floor] = 0.0
     return mean, cov
 
 
@@ -879,50 +843,35 @@ def gp_sample(
     one q x q buffer, a row tile at a time: each tile's matrix products
     run whole, and its elementwise kernel work in cache-sized pieces of
     whole rows. The covariance root is its Cholesky factor, computed in
-    place by LAPACK ``potrf`` from that triangle.
+    place by LAPACK ``dpotrf`` from that triangle.
 
-    Up to 2048 candidates, the buffer is float64. If the factorization
-    fails, the covariance is rebuilt and jitter added to its diagonal,
-    from 1e-10 by factors of 10 up to 1e-5; past that, the root is an
-    eigendecomposition of one more rebuild with clipped eigenvalues, so
-    rank-deficient covariances (duplicate or fully explained points) are
-    handled without error. Memory is one q x q float64 matrix plus tiles
-    of about 8 MB each, and ``O(n q)`` for the cross covariances with the
-    n training points; only the eigendecomposition fallback allocates
-    more.
-
-    Over more candidates, each float64 tile is rounded into a float32
-    buffer, which ``spotrf`` factors, and the draws are made in float32
-    and returned in float64. Memory is then one q x q float32 matrix
-    plus float64 tiles. Entries below ``eps**2`` times the mean posterior
-    variance are zeroed, because float32 products of such entries are
-    subnormal and slow the factorization severalfold (short lengthscales
-    make many of them). The first attempt already adds jitter of
-    ``2 sqrt(q) eps`` times the mean posterior variance, with ``eps`` the
-    float32 machine epsilon (1.7e-5 relative at q = 5000), and escalates
-    it by factors of 10 twice; if all three attempts fail, the draw takes
-    the float64 path above. Either way, identical rng state gives
-    identical draws on one BLAS build.
+    Draws are always float64. The default candidate count,
+    ``min(100 D, 2048)``, keeps the buffer at most 2048 x 2048 (32 MB);
+    a caller who sets more candidates gets the same exact draw at a
+    cost that grows as q**2 in memory and q**3 in time. If the
+    factorization fails, the covariance is rebuilt and jitter added to
+    its diagonal, from 1e-10 by factors of 10 up to 1e-5; past that, the
+    root is an eigendecomposition of one more rebuild with clipped
+    eigenvalues, so rank-deficient covariances (duplicate or fully
+    explained points) are handled without error. Memory is one q x q
+    float64 matrix plus tiles of about 8 MB each, and ``O(n q)`` for the
+    cross covariances with the n training points; only the
+    eigendecomposition fallback allocates more. Identical rng state
+    gives identical draws on one BLAS build.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    Q = _check_queries(model, queries)
-    q = Q.shape[0]
     mean = None
 
-    def fill(dtype) -> np.ndarray:
+    def fill() -> np.ndarray:
         nonlocal mean
-        mean, cov = _raw_posterior(model, Q, dtype)
+        mean, cov = _raw_posterior(model, queries)
         return cov
 
-    root = None
-    if q > _SINGLE_PRECISION_Q:
-        root, _ = _cholesky(lambda: fill(np.float32), 2.0 * math.sqrt(q) * _EPS32, 2, relative=True)
+    root, _ = _cholesky(fill, 1e-10, 6)
     if root is None:
-        root, _ = _cholesky(lambda: fill(np.float64), 1e-10, 6)
-    if root is None:
-        vals, vecs = np.linalg.eigh(fill(np.float64), UPLO="U")
+        vals, vecs = np.linalg.eigh(fill(), UPLO="U")
         root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    z = rng.standard_normal((q, count))
-    draws = mean[:, None] + root @ z.astype(root.dtype, copy=False)
+    z = rng.standard_normal((mean.shape[0], count))
+    draws = mean[:, None] + root @ z
     return model.target_mean + model.target_std * draws.T

@@ -56,7 +56,8 @@ class TrustRegionConfig:
 
     ``length_min`` is the floor below which the region restarts; it
     must lie in (0, 0.8), below the initial length. ``n_candidates``
-    defaults to None, which means ``min(100 * D, 5000)``. The rest of
+    defaults to None, which means ``min(100 * D, 2048)``: at most 2048
+    candidates, whose Thompson draws are always float64. The rest of
     the method is fixed: the region starts at length 0.8, doubles
     (up to 1.6) after 3 consecutive successes, halves after
     ``max(4, ceil(D / batch_size))`` consecutive failures, and perturbs
@@ -323,8 +324,9 @@ def generate_candidates(
     rng : numpy Generator
         Supplies the scramble seed and the perturbation mask.
     config : TrustRegionConfig
-        Its ``n_candidates``, or ``min(100 * D, 5000)`` when None, is
-        the number of candidates.
+        Its ``n_candidates``, or ``min(100 * D, 2048)`` when None, is
+        the number of candidates: at most 2048 by default, so that the
+        Thompson draw over them is an exact float64 factorization.
 
     Returns
     -------
@@ -336,7 +338,7 @@ def generate_candidates(
     if model is not None and model.blocks.x.size:
         ls_full[model.blocks.x] = model.params.lengthscales
     lo, hi = region_bounds(state, ls_full)
-    n = config.n_candidates if config.n_candidates is not None else min(100 * d, 5000)
+    n = config.n_candidates if config.n_candidates is not None else min(100 * d, 2048)
     scramble_seed = int(rng.integers(0, 2**31))
     pts = sobol_points(n, d, seed=scramble_seed)
     cand = lo + pts * (hi - lo)

@@ -243,12 +243,13 @@ def test_runs_are_deterministic_for_a_seed():
     assert a.best() == b.best()
 
 
-def test_runs_are_deterministic_for_a_seed_above_the_single_precision_threshold(monkeypatch):
-    # model rounds over 3000 candidates draw through spotrf, which must
-    # give the same bits for the same inputs
+def test_runs_are_deterministic_for_a_seed_over_3000_candidates(monkeypatch):
+    # a caller may set more candidates than the default's 2048; model
+    # rounds factor all of them in float64 and give the same bits for
+    # the same inputs
     factored = []
-    spotrf = surrogate.spotrf
-    monkeypatch.setattr(surrogate, "spotrf", lambda a, **kw: factored.append(len(a)) or spotrf(a, **kw))
+    dpotrf = surrogate.dpotrf
+    monkeypatch.setattr(surrogate, "dpotrf", lambda a, **kw: factored.append(a.shape) or dpotrf(a, **kw))
     space = small_space()
     cfg = OptimizerConfig(batch_size=4, seed=11, turbo=TrustRegionConfig(n_candidates=3000))
     a, b = Optimizer(space, cfg), Optimizer(space, cfg)
@@ -258,7 +259,7 @@ def test_runs_are_deterministic_for_a_seed_above_the_single_precision_threshold(
         vals = [bowl(p) for p in pa]
         a.observe(pa, vals)
         b.observe(pb, vals)
-    assert factored and min(factored) > surrogate._SINGLE_PRECISION_Q
+    assert (3000, 3000) in factored
     assert a.best() == b.best()
 
 

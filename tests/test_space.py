@@ -206,6 +206,28 @@ def test_validate_point_requires_exact_keys():
         sp.validate(extra)
 
 
+def test_warp_checks_each_value_once_and_raises_what_validate_raises(monkeypatch):
+    sp = mixed_space()
+    pt = sp.random_point(np.random.default_rng(1))
+    checked = []
+    check = ParamSpec.validate_value
+    monkeypatch.setattr(ParamSpec, "validate_value", lambda p, v: checked.append(p.name) or check(p, v))
+    sp.warp(pt)
+    assert checked == list(sp.names)
+    monkeypatch.undo()
+    # an unknown key wins over a bad value, and otherwise the first
+    # parameter in order that is missing or inadmissible is named
+    unknown = {**pt, "xr": 9.0, "spurious": 1.0}
+    missing_later = {k: v for k, v in {**pt, "ni": 2.5}.items() if k != "c"}
+    missing_first = {k: v for k, v in {**pt, "ni": 2.5}.items() if k != "xr"}
+    for bad, names in ((unknown, "spurious"), (missing_later, "'ni'"), (missing_first, "'xr'")):
+        with pytest.raises(ValidationError, match=names) as want:
+            sp.validate(bad)
+        with pytest.raises(ValidationError) as got:
+            sp.warp(bad)
+        assert str(got.value) == str(want.value)
+
+
 def test_warp_unwarp_round_trip_on_random_points():
     sp = mixed_space()
     rng = np.random.default_rng(42)

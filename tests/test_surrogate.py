@@ -454,9 +454,6 @@ def test_raw_posterior_upper_triangle_is_prior_gram_minus_update(q, align, tile,
     upper = np.triu_indices(q)
     assert np.array_equal(cov[upper], want[upper])
     assert not np.any(np.tril(cov, -1))
-    # a float32 triangle is the same triangle rounded
-    _, cov32 = surrogate._raw_posterior(model, Q, np.float32)
-    assert cov32.dtype == np.float32 and np.array_equal(cov32, cov.astype(np.float32))
     # nothing downstream reads below the diagonal
     _, got = gp_posterior(model, Q)
     assert np.array_equal(got, got.T)
@@ -634,136 +631,20 @@ def test_gp_sample_holds_about_one_candidate_covariance():
     assert peak <= 2.5 * q * q * 8
 
 
-def test_cholesky_in_single_precision():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((11, 11))
-    spd = a @ a.T + 11.0 * np.eye(11)
-    # only the upper triangle is read
-    made = (np.triu(spd) + np.tril(rng.standard_normal((11, 11)), -1)).astype(np.float32)
-    fills = []
-
-    def fill():
-        fills.append(made.copy())
-        return fills[-1]
-
-    got, jitter = surrogate._cholesky(fill, 1e-10, 6)
-    assert jitter == 0.0 and len(fills) == 1
-    assert got.dtype == np.float32 and got.base is fills[-1] and got.flags.f_contiguous
-    assert np.array_equal(np.triu(got, 1), np.triu(made.T, 1))
-    # float32 rounds at 1.2e-7; a well-conditioned 11 x 11 factor keeps
-    # within a few dozen roundings
-    want = np.linalg.cholesky(spd)
-    np.testing.assert_allclose(np.tril(got), want, rtol=0.0, atol=1e-5 * np.abs(want).max())
-    # a relative first jitter is a multiple of the mean diagonal, added
-    # from the first attempt on
-    got, jitter = surrogate._cholesky(fill, 1e-3, 2, relative=True)
-    assert len(fills) == 2 and jitter == 1e-3 * float(np.mean(np.diag(made), dtype=float))
-    want = np.linalg.cholesky(spd + jitter * np.eye(11))
-    np.testing.assert_allclose(np.tril(got), want, rtol=0.0, atol=1e-5 * np.abs(want).max())
-    # an indefinite matrix escalates it by factors of 10
-    made[np.diag_indices(11)] -= 100.0
-    got, jitter = surrogate._cholesky(fill, 1e-3, 2, relative=True)
-    assert got is None and len(fills) == 5
-    assert jitter == pytest.approx(1e-1 * np.mean(np.diag(made), dtype=float))
-    # and a NaN pivot is a failure in single precision too
-    m = np.eye(4, dtype=np.float32)
-    m[1, 2] = np.nan
-    fills = []
-    got, _ = surrogate._cholesky(lambda: fills.append(m.copy()) or fills[-1], 1e-10, 2)
-    assert got is None and len(fills) == 3
-
-
-def test_single_precision_triangle_holds_no_subnormal_entries():
-    # short lengthscales fitted to noise put many entries of the float64
-    # triangle in float32's subnormal range, where spotrf slows severalfold
-    space = SearchSpace([ParamSpec("a", "real", lo=0.0, hi=1.0), ParamSpec("b", "real", lo=0.0, hi=1.0)])
-    rng = np.random.default_rng(0)
-    model = gp_fit(rng.random((30, 2)), rng.standard_normal(30), space)
-    Q = rng.random((300, 2))
-    _, cov = surrogate._raw_posterior(model, Q)
-    assert np.any((cov != 0.0) & (np.abs(cov) < np.finfo(np.float32).tiny))
-    _, cov32 = surrogate._raw_posterior(model, Q, np.float32)
-    want = cov.astype(np.float32)
-    floor = np.finfo(np.float32).eps ** 2 * np.mean(cov32.diagonal(), dtype=float)
-    want[np.abs(want) < float(floor)] = 0.0
-    assert np.array_equal(cov32, want)
-    assert np.all((cov32 == 0.0) | (np.abs(cov32) >= np.finfo(np.float32).tiny))
-
-
-def single_precision_case(seed, q=None):
-    """A fitted model and q candidates, by default just more than float64 draws take."""
+def test_draws_over_duplicated_candidates_are_equal_up_to_the_jitter():
+    # each candidate twice makes the posterior covariance singular, so
+    # the factorization takes jitter
     space = mixed_space()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(32)
     model = gp_fit(sample_inputs(rng, space, 30), rng.standard_normal(30), space)
-    return model, sample_inputs(rng, space, q or surrogate._SINGLE_PRECISION_Q + 52)
-
-
-def test_single_precision_draws_follow_the_float64_posterior(monkeypatch):
-    model, Q = single_precision_case(31)
-    q = len(Q)
-    factored = []
-    spotrf = surrogate.spotrf
-    monkeypatch.setattr(surrogate, "spotrf", lambda a, **kw: factored.append(len(a)) or spotrf(a, **kw))
-    draws = gp_sample(model, Q, np.random.default_rng(4), count=2000)
-    assert len(factored) == 1 and draws.dtype == np.float64
-    # the sample moments on a spread of candidates are the posterior's
-    idx = np.arange(0, q, q // 12)
-    mean, cov = gp_posterior(model, Q[idx])
-    sd = np.sqrt(cov.diagonal().max())
-    np.testing.assert_allclose(draws[:, idx].mean(axis=0), mean, rtol=0.0, atol=0.1 * sd)
-    np.testing.assert_allclose(np.cov(draws[:, idx].T), cov, rtol=0.0, atol=0.12 * sd**2)
-    # with the same normals, float64 draws are close and pick the same
-    # argmins; the covariance of 2100 candidates in 5 dimensions is near
-    # singular, which amplifies float32 rounding in a few entries
-    got = gp_sample(model, Q, np.random.default_rng(5), count=8)
-    monkeypatch.setattr(surrogate, "_SINGLE_PRECISION_Q", q)
-    want = gp_sample(model, Q, np.random.default_rng(5), count=8)
-    assert len(factored) == 2
-    diff = np.abs(got - want)
-    assert np.median(diff) <= 1e-3 * sd and diff.max() <= 0.05 * sd
-    assert np.array_equal(got.argmin(axis=1), want.argmin(axis=1))
-
-
-def test_single_precision_draws_over_duplicated_candidates():
-    half = surrogate._SINGLE_PRECISION_Q // 2 + 2
-    model, Q = single_precision_case(32, half)
+    half = 300
+    Q = sample_inputs(rng, space, half)
     Q = np.vstack([Q, Q])
-    assert len(Q) > surrogate._SINGLE_PRECISION_Q
     draws = gp_sample(model, Q, np.random.default_rng(6), count=8)
     assert np.all(np.isfinite(draws))
     # a duplicate draws the same value, up to the jitter
     sd = np.sqrt(gp_posterior(model, Q[:50])[1].diagonal().max())
     np.testing.assert_allclose(draws[:, :half], draws[:, half:], rtol=0.0, atol=0.05 * sd)
-
-
-def test_single_precision_failure_falls_back_to_float64(monkeypatch):
-    model, Q = single_precision_case(33)
-    fills = []
-    raw = surrogate._raw_posterior
-    monkeypatch.setattr(surrogate, "_raw_posterior", lambda *a: fills.append(a[2]) or raw(*a))
-    monkeypatch.setattr(surrogate, "spotrf", lambda a, **kw: (a, 1))
-    got = gp_sample(model, Q, np.random.default_rng(7), count=4)
-    # three single-precision attempts, then the float64 path, which factors
-    assert fills == [np.float32] * 3 + [np.float64]
-    assert np.all(np.isfinite(got))
-    monkeypatch.setattr(surrogate, "_SINGLE_PRECISION_Q", len(Q))
-    assert np.array_equal(got, gp_sample(model, Q, np.random.default_rng(7), count=4))
-
-
-def test_single_precision_draw_holds_about_one_float32_covariance(monkeypatch):
-    # one q x q float32 matrix plus float64 tiles, made small here so
-    # that they do not dominate at this q
-    model, Q = single_precision_case(34)
-    q = len(Q)
-    set_tiles(monkeypatch, 32, 1 << 17, None)
-    tracemalloc.start()
-    try:
-        draws = gp_sample(model, Q, np.random.default_rng(0), count=8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert draws.shape == (8, q)
-    assert peak <= 0.7 * q * q * 8
 
 
 def test_gp_sample_shapes_and_determinism():

@@ -120,10 +120,10 @@ def test_config_resolution_defaults():
         assert st.length == 0.8 and st.failure_count == tolerance - 1
         st = update_region(st, 2.0, pt, batch)
         assert st.length == 0.4 and st.failure_count == 0
-    # n_candidates None means min(100 D, 5000), and each coordinate
+    # n_candidates None means min(100 D, 2048), and each coordinate
     # moves off the center with probability min(1, 20 / D)
     rng = np.random.default_rng(0)
-    for dim, count, prob in ((8, 800, 1.0), (60, 5000, 20 / 60)):
+    for dim, count, prob in ((8, 800, 1.0), (60, 2048, 20 / 60)):
         space = SearchSpace([ParamSpec(f"x{i}", "real", lo=0.0, hi=1.0) for i in range(dim)])
         st = update_region(new_state(), 1.0, np.full(dim, 0.5), 4)
         cand = generate_candidates(st, None, space, rng, TrustRegionConfig())
@@ -291,7 +291,7 @@ def test_candidates_stay_inside_region_and_cube():
     model = gp_fit(X, y, space)
     st = update_region(new_state(), float(y.min()), np.array([0.5, 0.5, 0.5]), 4)
     cand = generate_candidates(st, model, space, rng, TrustRegionConfig())
-    assert cand.shape == (300, 3)  # min(100 D, 5000)
+    assert cand.shape == (300, 3)  # min(100 D, 2048)
     ls = np.ones(3)
     ls[space.blocks.x] = model.params.lengthscales
     lo, hi = region_bounds(st, ls)
