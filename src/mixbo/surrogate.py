@@ -42,12 +42,13 @@ Every matrix the module factors holds its values in its C-order upper
 triangle. That triangle is the lower triangle of the Fortran-ordered
 transpose, which LAPACK ``potrf`` overwrites with the lower Cholesky
 factor in place; a failed attempt refills the matrix and retries with
-diagonal jitter. The posterior covariance of a Thompson draw exists
-only as that triangle: each row tile of the prior Gram is built, and
-the explained part subtracted, from the diagonal of the tile's first
-row rightwards, and everything below the diagonal is zero, so the
-factor needs no cleanup. A public square Gram is the upper triangle
-mirrored, so it is exactly symmetric.
+diagonal jitter. Every square triangle outside the fit comes from one
+builder: each row tile of the prior Gram is built, and the explained
+part ``w.T @ w`` subtracted, from the diagonal of the tile's first row
+rightwards, and everything below the diagonal is zero, so the factor
+needs no cleanup. The posterior covariance of a Thompson draw exists
+only as that triangle. A public square Gram is the same triangle with
+an empty ``w``, mirrored, so it is exactly symmetric.
 
 A draw is always float64: the triangle is factored by ``dpotrf``, and
 a draw over q candidates holds one q x q float64 matrix plus a few
@@ -256,22 +257,6 @@ def _row_tiles(n: int, width: int):
         start = stop
 
 
-def _square_tiles(n: int) -> list[slice]:
-    """Slices cutting an n x n matrix into square tiles of about one tile each."""
-    side = max(1, math.isqrt(_TILE_ELEMENTS))
-    return [slice(i, min(i + side, n)) for i in range(0, n, side)]
-
-
-def _copy_triangle(m: np.ndarray) -> None:
-    """Mirror the strict upper triangle of square m onto the lower, tile by tile."""
-    tiles = _square_tiles(m.shape[0])
-    for b, rows in enumerate(tiles):
-        for cols in tiles[:b]:
-            m[rows, cols] = m[cols, rows].T
-        block = m[rows, rows]
-        np.copyto(block, block.T, where=np.tri(block.shape[0], k=-1, dtype=bool))
-
-
 def _matern_factors(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two lengthscale-only factors of the Matern 5/2 Gram; d2 is overwritten.
 
@@ -368,21 +353,24 @@ def _gram_tile(a: np.ndarray, b: np.ndarray, params: KernelParams, blocks: Block
         _compose(grams, params.lam, out[piece])
 
 
-def _fill_gram(A: np.ndarray, B: np.ndarray | None, params: KernelParams, blocks: Blocks) -> np.ndarray:
-    """Gram of A against B, assembled one row tile at a time.
+def _upper_gram(Q: np.ndarray, params: KernelParams, blocks: Blocks, w: np.ndarray) -> np.ndarray:
+    """Upper triangle of ``k(Q, Q) - w.T @ w``, zero below the diagonal.
 
-    With B None, only the upper triangle of the square Gram of A is
-    filled in, into a zeroed buffer: each row tile gets the columns from
-    its first row rightwards. Below the diagonal tiles the result is
-    zero; inside them, the strict lower triangle holds Gram entries.
+    Each row tile gets the prior Gram from its first row's diagonal
+    rightwards, built in the output, and ``w.T @ w`` of the same entries
+    is subtracted in place; the entries a diagonal tile computed below
+    the diagonal are then zeroed. A ``w`` with no rows subtracts exact
+    zeros, which leaves the prior Gram's triangle.
     """
-    upper = B is None
-    if upper:
-        B = A
-    out = (np.zeros if upper else np.empty)((A.shape[0], B.shape[0]))
-    for rows in _row_tiles(*out.shape):
-        cols = slice(rows.start if upper else 0, B.shape[0])
-        _gram_tile(A[rows], B[cols], params, blocks, out[rows, cols])
+    q = Q.shape[0]
+    out = np.zeros((q, q))
+    for rows in _row_tiles(q, q):
+        cols = slice(rows.start, q)
+        tile = out[rows, cols]
+        _gram_tile(Q[rows], Q[cols], params, blocks, tile)
+        tile -= w[:, rows].T @ w[:, cols]
+        block = tile[:, : rows.stop - rows.start]
+        block[np.tri(block.shape[0], k=-1, dtype=bool)] = 0.0
     return out
 
 
@@ -397,8 +385,9 @@ def mixture_gram(
     Equivalent to evaluating :func:`mixture_kernel` on every pair, but
     assembled blockwise in vector form, one row tile of the output at a
     time, so temporaries stay tile-sized. Pass ``inputs2=None`` for the
-    square Gram of one set: its upper triangle is computed and mirrored,
-    so the result is exactly symmetric.
+    square Gram of one set: its upper triangle is built as a posterior
+    triangle with nothing explained and mirrored, so the result is
+    exactly symmetric.
 
     Parameters
     ----------
@@ -417,10 +406,15 @@ def mixture_gram(
         If ``blocks`` selects no dimension at all.
     """
     A = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if inputs2 is not None:
-        return _fill_gram(A, np.atleast_2d(np.asarray(inputs2, dtype=float)), params, blocks)
-    out = _fill_gram(A, None, params, blocks)
-    _copy_triangle(out)
+    if inputs2 is None:
+        out = _upper_gram(A, params, blocks, np.zeros((0, A.shape[0])))
+        # exact: the strict lower triangle is zero
+        out += np.triu(out, 1).T
+        return out
+    B = np.atleast_2d(np.asarray(inputs2, dtype=float))
+    out = np.empty((A.shape[0], B.shape[0]))
+    for rows in _row_tiles(*out.shape):
+        _gram_tile(A[rows], B, params, blocks, out[rows])
     return out
 
 
@@ -442,7 +436,6 @@ class GpModel:
     """
 
     inputs: np.ndarray
-    targets: np.ndarray
     blocks: Blocks
     params: KernelParams
     log_likelihood: float
@@ -732,7 +725,6 @@ def gp_fit(
     alpha, _ = dpotrs(chol, ys, lower=1)
     return GpModel(
         inputs=X,
-        targets=y,
         blocks=blocks,
         params=params,
         log_likelihood=ll_best if math.isfinite(ll_best) else -np.inf,
@@ -760,29 +752,24 @@ def _check_queries(model: GpModel, queries: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _raw_posterior(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized latent posterior mean and the upper triangle of its covariance.
+def _cross(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked queries Q, the standardized posterior mean, and ``w = L^-1 k(X, Q)``.
 
-    Each row tile of the prior covariance's upper triangle is built in
-    the output, and the explained part ``w.T @ w`` subtracted from it in
-    place. Everything below the diagonal is exactly zero, so the matrix
-    is ready for :func:`_cholesky` and its factor for a product.
+    The posterior covariance is ``k(Q, Q) - w.T @ w``, whose upper
+    triangle :func:`_upper_gram` builds.
     """
     Q = _check_queries(model, queries)
     ks = mixture_gram(model.inputs, Q, model.params, model.blocks)
     mean = ks.T @ model._alpha
     w = solve_triangular(model._chol, ks, lower=True, check_finite=False)
-    del ks
-    q = Q.shape[0]
-    cov = np.zeros((q, q))
-    for rows in _row_tiles(q, q):
-        cols = slice(rows.start, q)
-        tile = cov[rows, cols]
-        _gram_tile(Q[rows], Q[cols], model.params, model.blocks, tile)
-        tile -= w[:, rows].T @ w[:, cols]
-        block = tile[:, : rows.stop - rows.start]
-        block[np.tri(block.shape[0], k=-1, dtype=bool)] = 0.0
-    return mean, cov
+    return Q, mean, w
+
+
+def _eigen_root(cov: np.ndarray) -> np.ndarray:
+    """A root r with ``r @ r.T`` the matrix in cov's upper triangle, eigenvalues clipped at zero."""
+    vals, vecs = np.linalg.eigh(cov, UPLO="U")
+    vecs *= np.sqrt(np.clip(vals, 0.0, None))
+    return vecs
 
 
 def gp_posterior(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -801,10 +788,10 @@ def gp_posterior(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.nd
         Symmetric positive semidefinite (eigenvalues clipped at zero),
         in target units. Observation noise is not added.
     """
-    mean, cov = _raw_posterior(model, queries)
-    vals, vecs = np.linalg.eigh(cov, UPLO="U")
-    cov = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-    _copy_triangle(cov)
+    Q, mean, w = _cross(model, queries)
+    root = _eigen_root(_upper_gram(Q, model.params, model.blocks, w))
+    # numpy forms a product with its own transpose by syrk, exactly symmetric
+    cov = root @ root.T
     cov *= model.target_std**2
     return model.target_mean + model.target_std * mean, cov
 
@@ -848,30 +835,28 @@ def gp_sample(
     Draws are always float64. The default candidate count,
     ``min(100 D, 2048)``, keeps the buffer at most 2048 x 2048 (32 MB);
     a caller who sets more candidates gets the same exact draw at a
-    cost that grows as q**2 in memory and q**3 in time. If the
-    factorization fails, the covariance is rebuilt and jitter added to
-    its diagonal, from 1e-10 by factors of 10 up to 1e-5; past that, the
-    root is an eigendecomposition of one more rebuild with clipped
-    eigenvalues, so rank-deficient covariances (duplicate or fully
-    explained points) are handled without error. Memory is one q x q
-    float64 matrix plus tiles of about 8 MB each, and ``O(n q)`` for the
-    cross covariances with the n training points; only the
-    eigendecomposition fallback allocates more. Identical rng state
-    gives identical draws on one BLAS build.
+    cost that grows as q**2 in memory and q**3 in time. The cross
+    covariances and their solve against the training factor are made
+    once per draw. If the factorization fails, the triangle is rebuilt
+    and jitter added to its diagonal, from 1e-10 by factors of 10 up to
+    1e-5; past that, the root is an eigendecomposition of one more
+    rebuild with clipped eigenvalues, so rank-deficient covariances
+    (duplicate or fully explained points) are handled without error.
+    Memory is one q x q float64 matrix plus tiles of about 8 MB each,
+    and ``O(n q)`` for the cross covariances with the n training points;
+    only the eigendecomposition fallback allocates more. Identical rng
+    state gives identical draws on one BLAS build.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    mean = None
+    Q, mean, w = _cross(model, queries)
 
     def fill() -> np.ndarray:
-        nonlocal mean
-        mean, cov = _raw_posterior(model, queries)
-        return cov
+        return _upper_gram(Q, model.params, model.blocks, w)
 
     root, _ = _cholesky(fill, 1e-10, 6)
     if root is None:
-        vals, vecs = np.linalg.eigh(fill(), UPLO="U")
-        root = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        root = _eigen_root(fill())
     z = rng.standard_normal((mean.shape[0], count))
     draws = mean[:, None] + root @ z
     return model.target_mean + model.target_std * draws.T

@@ -258,6 +258,12 @@ def test_posterior_matches_dense_solve_oracle():
         cov_o = (Kss - Ks @ np.linalg.solve(K, Ks.T)) * model.target_std**2
         np.testing.assert_allclose(mu, mu_o, atol=1e-10, rtol=0.0)
         np.testing.assert_allclose(cov, cov_o, atol=1e-10, rtol=0.0)
+    # queries that repeat the training points and each other make the
+    # covariance rank deficient: it stays exactly symmetric, and positive
+    # semidefinite up to rounding
+    _, cov = gp_posterior(model, np.vstack([X, Q, X, Q[:3]]))
+    assert np.array_equal(cov, cov.T)
+    assert np.linalg.eigvalsh(cov).min() >= -1e-12 * cov.diagonal().max()
 
 
 def test_noise_free_interpolation_on_smooth_curve():
@@ -450,7 +456,8 @@ def test_raw_posterior_upper_triangle_is_prior_gram_minus_update(q, align, tile,
     if align is None:
         assert np.array_equal(want, mixture_gram(Q, Q, model.params, model.blocks) - w.T @ w)
     poison_lower_triangle(monkeypatch)
-    _, cov = surrogate._raw_posterior(model, Q)
+    checked, _, w = surrogate._cross(model, Q)
+    cov = surrogate._upper_gram(checked, model.params, model.blocks, w)
     upper = np.triu_indices(q)
     assert np.array_equal(cov[upper], want[upper])
     assert not np.any(np.tril(cov, -1))
@@ -570,9 +577,9 @@ def test_cholesky_failure_leaves_the_source_unchanged(tile, monkeypatch):
     fills = []
 
     def fill():
-        # mirrored tile by tile: 4 x 4 tiles when _TILE_ELEMENTS is 16
+        # the tile size is no concern of the factorization
         m = np.triu(indefinite)
-        surrogate._copy_triangle(m)
+        m += np.triu(m, 1).T
         fills.append(m)
         return m
 
@@ -600,13 +607,18 @@ def test_gp_sample_falls_back_to_eigh_when_every_factorization_fails(monkeypatch
     model = gp_fit(sample_inputs(rng, space, 12), rng.standard_normal(12), space)
     Q = sample_inputs(rng, space, 6)
     mean, cov = gp_posterior(model, Q)
-    fills = []
-    raw = surrogate._raw_posterior
-    monkeypatch.setattr(surrogate, "_raw_posterior", lambda *a: fills.append(1) or raw(*a))
+    fills, solves = [], []
+    upper = surrogate._upper_gram
+    monkeypatch.setattr(surrogate, "_upper_gram", lambda *a: fills.append(1) or upper(*a))
+    solve = surrogate.solve_triangular
+    monkeypatch.setattr(surrogate, "solve_triangular", lambda *a, **kw: solves.append(1) or solve(*a, **kw))
     monkeypatch.setattr(surrogate, "dpotrf", lambda a, **kw: (a, 1))
     draws = gp_sample(model, Q, np.random.default_rng(2), count=4000)
     assert np.all(np.isfinite(draws))
+    # every retry refills only the triangle: the cross covariances are
+    # solved against the training factor once
     assert len(fills) == 6 + 2
+    assert len(solves) == 1
     # the eigendecomposition root draws from the posterior all the same
     np.testing.assert_allclose(draws.mean(axis=0), mean, rtol=0.0, atol=0.1 * np.sqrt(cov.diagonal().max()))
     np.testing.assert_allclose(np.cov(draws.T), cov, rtol=0.0, atol=0.1 * cov.diagonal().max())
