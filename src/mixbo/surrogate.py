@@ -33,10 +33,14 @@ Large matrices are built and factored in place. A Gram is filled into
 one preallocated output a row tile at a time, each tile holding about
 ``_TILE_ELEMENTS`` entries (8 MB of float64), so every temporary is
 tile-sized, and the Gram has the bits a whole-matrix assembly gives.
-Within a tile, the matrix products run on the whole tile and the
-elementwise work (the Matern transform, the indicator counts and the
-composition) on pieces of whole rows of about ``_PIECE_ELEMENTS``
-entries (512 KB), which stay in cache.
+The per-point inputs of the block Grams are prepared once per Gram, and
+a tile takes row slices of them: the x-block divided by the lengthscales
+with its squared row norms, the y-block, and the z-block coded as small
+unsigned integers, equal codes for values that compare equal, so the
+indicator counts compare codes, not floats. Within a tile, the matrix
+products run on the whole tile and the elementwise work (the Matern
+transform, the indicator counts and the composition) on pieces of whole
+rows of about ``_PIECE_ELEMENTS`` entries (512 KB), which stay in cache.
 
 Every matrix the module factors holds its values in its C-order upper
 triangle. That triangle is the lower triangle of the Fortran-ordered
@@ -60,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -233,7 +238,12 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Uses the expansion ``|a|^2 + |b|^2 - 2 a.b``, clipped at 0 against
     rounding, so the cost is one matrix product.
     """
-    d2 = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :]
+    return _sqdist(a, np.sum(a**2, axis=1), b, np.sum(b**2, axis=1))
+
+
+def _sqdist(a: np.ndarray, aa: np.ndarray, b: np.ndarray, bb: np.ndarray) -> np.ndarray:
+    """:func:`sqdist` of a and b, given their squared row norms aa and bb."""
+    d2 = aa[:, None] + bb[None, :]
     d2 -= 2.0 * a @ b.T
     return np.maximum(d2, 0.0, out=d2)
 
@@ -281,17 +291,77 @@ def _matern(poly: np.ndarray, expo: np.ndarray, signal_variance: float, out: np.
     return out
 
 
-def _indicator_gram(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
-    """Fraction of matching qualitative dimensions, one column at a time.
+def _codes(Z: np.ndarray) -> np.ndarray:
+    """Small integer codes of the values of Z, column by column, as an F-ordered array.
 
-    Matches are counted exactly in the smallest unsigned integer type
-    that holds the dimension count, through one reused boolean buffer.
+    Two entries of a column share a code exactly when they compare equal
+    as floats: -0.0 and 0.0 share one, and every NaN has its own. All
+    columns take the smallest unsigned type that holds the largest count
+    of distinct values, and each column is contiguous.
+    """
+    coded = [np.unique(col, return_inverse=True, equal_nan=False) for col in Z.T]
+    dtype = np.min_scalar_type(max(len(values) for values, _ in coded))
+    return np.array([codes for _, codes in coded], dtype=dtype).T
+
+
+class _Inputs(NamedTuple):
+    """The per-row inputs of the block Grams of a set of points; None for an absent block.
+
+    ``x`` is the x-block divided by the lengthscales, C-contiguous, and
+    ``xx`` its squared row norms; ``y`` is the y-block, C-contiguous; and
+    ``z`` holds the z-block's codes (see :func:`_codes`).
+    """
+
+    x: np.ndarray | None
+    xx: np.ndarray | None
+    y: np.ndarray | None
+    z: np.ndarray | None
+
+    def rows(self, rows: slice) -> _Inputs:
+        return _Inputs(*(None if v is None else v[rows] for v in self))
+
+
+def _block_inputs(A: np.ndarray, B: np.ndarray, params: KernelParams, blocks: Blocks) -> tuple[_Inputs, _Inputs]:
+    """The block inputs of the rows of A and of B, coded together.
+
+    Each is built once for a whole Gram, and its tiles take row slices.
+    The features are C-contiguous whatever the order of A and B, and a
+    row's squared norm adds its squares one dimension at a time, so the
+    Gram has the same bits for C- and F-ordered points. B's inputs are a
+    second buffer even where B is A: a NaN then matches no entry, itself
+    included, and no product multiplies a buffer by its own transpose,
+    which numpy computes with ``syrk`` instead of ``gemm``.
+    """
+    H = np.vstack([A, B])
+    x = xx = y = z = None
+    if blocks.x.size:
+        xf = np.asfortranarray(H[:, blocks.x] / params.lengthscales)
+        # an F-ordered sum adds a row's squares one dimension at a time
+        xx = np.sum(xf**2, axis=1)
+        x = np.ascontiguousarray(xf)
+    if blocks.y.size:
+        y = np.ascontiguousarray(H[:, blocks.y])
+    if blocks.z.size:
+        z = _codes(H[:, blocks.z])
+    both = _Inputs(x, xx, y, z)
+    n = A.shape[0]
+    return both.rows(slice(0, n)), both.rows(slice(n, None))
+
+
+def _indicator_gram(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+    """Fraction of matching qualitative dimensions of two sets of codes, one dimension at a time.
+
+    Each dimension compares two contiguous columns of codes into one
+    reused boolean buffer, whose bytes are added to the counts; the
+    counts are exact in the smallest unsigned integer type that holds
+    the dimension count.
     """
     dz = za.shape[1]
     counts = np.zeros((za.shape[0], zb.shape[0]), dtype=np.min_scalar_type(dz))
     eq = np.empty(counts.shape, dtype=bool)
     for k in range(dz):
-        counts += np.equal(za[:, k : k + 1], zb[:, k], out=eq)
+        np.equal(za[:, k, None], zb[:, k], out=eq)
+        counts += eq.view(np.uint8)
     return np.divide(counts, dz, dtype=float)
 
 
@@ -321,24 +391,24 @@ def _compose(grams, lam: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram_tile(a: np.ndarray, b: np.ndarray, params: KernelParams, blocks: Blocks, out: np.ndarray) -> None:
-    """Write the mixture Gram of the rows of a against the rows of b to out.
+def _gram_tile(a: _Inputs, b: _Inputs, params: KernelParams, out: np.ndarray) -> None:
+    """Write the mixture Gram of the points of a against the points of b to out.
 
-    The matrix products (the Matern distances and the linear Gram) are
-    made for the whole tile, so each entry has the bits of a whole-matrix
-    product. The Matern transform, the indicator counts and the
-    composition then run on blocks of whole rows of about
+    a and b are block inputs (see :func:`_block_inputs`), a the rows of
+    the tile. The matrix products (the Matern distances and the linear
+    Gram) are made for the whole tile, so each entry has the bits of a
+    whole-matrix product. The Matern transform, the indicator counts and
+    the composition then run on blocks of whole rows of about
     ``_PIECE_ELEMENTS`` entries, with the operations of a whole-matrix
-    assembly in the same order.
+    assembly in the same order. A piece spans every column of its tile,
+    on a diagonal tile too: the entries below the diagonal are computed
+    and then discarded.
     """
     d2 = lin = None
-    if blocks.x.size:
-        ls = params.lengthscales
-        d2 = sqdist(a[:, blocks.x] / ls, b[:, blocks.x] / ls)
-    if blocks.y.size:
-        lin = a[:, blocks.y] @ b[:, blocks.y].T
-    if blocks.z.size:
-        za, zb = a[:, blocks.z], b[:, blocks.z]
+    if a.x is not None:
+        d2 = _sqdist(a.x, a.xx, b.x, b.xx)
+    if a.y is not None:
+        lin = a.y @ b.y.T
     step = max(1, _PIECE_ELEMENTS // max(out.shape[1], 1))
     for start in range(0, out.shape[0], step):
         piece = slice(start, start + step)
@@ -348,26 +418,28 @@ def _gram_tile(a: np.ndarray, b: np.ndarray, params: KernelParams, blocks: Block
             grams.append(_matern(poly, expo, params.signal_variance, poly))
         if lin is not None:
             grams.append(lin[piece])
-        if blocks.z.size:
-            grams.append(_indicator_gram(za[piece], zb))
+        if a.z is not None:
+            grams.append(_indicator_gram(a.z[piece], b.z))
         _compose(grams, params.lam, out[piece])
 
 
 def _upper_gram(Q: np.ndarray, params: KernelParams, blocks: Blocks, w: np.ndarray) -> np.ndarray:
     """Upper triangle of ``k(Q, Q) - w.T @ w``, zero below the diagonal.
 
-    Each row tile gets the prior Gram from its first row's diagonal
-    rightwards, built in the output, and ``w.T @ w`` of the same entries
-    is subtracted in place; the entries a diagonal tile computed below
-    the diagonal are then zeroed. A ``w`` with no rows subtracts exact
-    zeros, which leaves the prior Gram's triangle.
+    The block inputs of Q are built once, for the rows and for the
+    columns. Each row tile gets the prior Gram from its first row's
+    diagonal rightwards, built in the output, and ``w.T @ w`` of the same
+    entries is subtracted in place; the entries a diagonal tile computed
+    below the diagonal are then zeroed. A ``w`` with no rows subtracts
+    exact zeros, which leaves the prior Gram's triangle.
     """
     q = Q.shape[0]
+    a, b = _block_inputs(Q, Q, params, blocks)
     out = np.zeros((q, q))
     for rows in _row_tiles(q, q):
         cols = slice(rows.start, q)
         tile = out[rows, cols]
-        _gram_tile(Q[rows], Q[cols], params, blocks, tile)
+        _gram_tile(a.rows(rows), b.rows(cols), params, tile)
         tile -= w[:, rows].T @ w[:, cols]
         block = tile[:, : rows.stop - rows.start]
         block[np.tri(block.shape[0], k=-1, dtype=bool)] = 0.0
@@ -412,9 +484,10 @@ def mixture_gram(
         out += np.triu(out, 1).T
         return out
     B = np.atleast_2d(np.asarray(inputs2, dtype=float))
+    a, b = _block_inputs(A, B, params, blocks)
     out = np.empty((A.shape[0], B.shape[0]))
     for rows in _row_tiles(*out.shape):
-        _gram_tile(A[rows], B, params, blocks, out[rows])
+        _gram_tile(a.rows(rows), b, params, out[rows])
     return out
 
 
@@ -522,7 +595,9 @@ def _training_gram(X: np.ndarray, blocks: Blocks):
         Y = X[:, blocks.y]
         fixed.append(Y @ Y.T)
     if blocks.z.size:
-        fixed.append(_indicator_gram(X[:, blocks.z], X[:, blocks.z]))
+        # the inputs are finite, so a code matches itself as the value does
+        Z = _codes(X[:, blocks.z])
+        fixed.append(_indicator_gram(Z, Z))
     matern = np.empty((n, n)) if dx else None
     noiseless = np.empty((n, n))
     work = np.empty((n, n))
@@ -619,7 +694,9 @@ def gp_fit(
     Lengthscales lie in [0.005, 2], the signal variance in [0.05, 20]
     and the noise variance in [1e-6, 1e-2]. The search is
     deterministic and stops after 2000 likelihood evaluations, which
-    ``GpModel.evaluations`` counts. The fitted likelihood is never
+    ``GpModel.evaluations`` counts; a probe that repeats an earlier
+    (hyperparameters, lam) pair counts as one, but its likelihood is
+    looked up, not computed again. The fitted likelihood is never
     below the likelihood at the default hyperparameters because the
     first start probes them. The final factorization escalates diagonal
     jitter from 1e-8 by factors of 10 up to 1e-2 before raising
@@ -652,13 +729,23 @@ def gp_fit(
     gram = _training_gram(X, blocks)
     lam_relevant = bool(blocks.y.size or blocks.z.size)
     evals = 0
+    known = {}  # (theta bytes, lam) -> log evidence
 
     def likelihood(theta: np.ndarray, lam: float) -> float:
-        """Exact Gaussian log evidence; -inf when the factorization fails."""
+        """Exact Gaussian log evidence; -inf when the factorization fails.
+
+        A repeated probe counts as an evaluation but is looked up.
+        """
         nonlocal evals
         if evals >= _MAX_FIT_EVALS:
             return -np.inf
         evals += 1
+        key = (theta.tobytes(), lam)
+        if key not in known:
+            known[key] = evidence(theta, lam)
+        return known[key]
+
+    def evidence(theta: np.ndarray, lam: float) -> float:
         c, _ = _cholesky(lambda: gram(theta, lam), 0.0, 0)
         if c is None:
             return -np.inf
@@ -829,8 +916,10 @@ def gp_sample(
     Only the upper triangle of the posterior covariance is assembled, in
     one q x q buffer, a row tile at a time: each tile's matrix products
     run whole, and its elementwise kernel work in cache-sized pieces of
-    whole rows. The covariance root is its Cholesky factor, computed in
-    place by LAPACK ``dpotrf`` from that triangle.
+    whole rows. The candidates' block inputs (scaled features, their
+    norms, and integer codes of the qualitative values) are prepared once
+    per fill, not per tile. The covariance root is its Cholesky factor,
+    computed in place by LAPACK ``dpotrf`` from that triangle.
 
     Draws are always float64. The default candidate count,
     ``min(100 D, 2048)``, keeps the buffer at most 2048 x 2048 (32 MB);

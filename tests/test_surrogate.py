@@ -266,6 +266,24 @@ def test_posterior_matches_dense_solve_oracle():
     assert np.linalg.eigvalsh(cov).min() >= -1e-12 * cov.diagonal().max()
 
 
+def test_posterior_covariance_clips_negative_eigenvalues(monkeypatch):
+    space = mixed_space()
+    rng = np.random.default_rng(9)
+    model = gp_fit(sample_inputs(rng, space, 8), rng.standard_normal(8), space)
+    # a triangle with a clearly negative eigenvalue, as rounding could leave
+    q = 6
+    vecs = np.linalg.qr(rng.standard_normal((q, q)))[0]
+    vals = np.array([-0.5, 1e-3, 0.2, 0.7, 1.0, 2.0])
+    indefinite = (vecs * vals) @ vecs.T
+    monkeypatch.setattr(surrogate, "_upper_gram", lambda *a: np.triu(indefinite))
+    _, cov = gp_posterior(model, sample_inputs(rng, space, q))
+    assert np.array_equal(cov, cov.T)
+    scale = cov.diagonal().max()
+    assert np.linalg.eigvalsh(cov).min() >= -1e-12 * scale
+    clipped = (vecs * np.clip(vals, 0.0, None)) @ vecs.T * model.target_std**2
+    np.testing.assert_allclose(cov, clipped, rtol=0.0, atol=1e-12 * scale)
+
+
 def test_noise_free_interpolation_on_smooth_curve():
     space = SearchSpace([ParamSpec("x", "real", lo=0.0, hi=1.0)])
     X = np.linspace(0.02, 0.98, 8).reshape(-1, 1)
@@ -288,6 +306,34 @@ def test_fit_never_does_worse_than_default_parameters(monkeypatch):
     stub = gp_fit(X, y, space)
     assert stub.evaluations == 10
     assert model.log_likelihood >= stub.log_likelihood - 1e-9
+
+
+def test_fit_computes_each_likelihood_once(monkeypatch):
+    space = mixed_space()
+    rng = np.random.default_rng(3)
+    X = sample_inputs(rng, space, 40)
+    y = np.sin(6 * X[:, 0]) + 0.3 * X[:, 2] + 0.2 * X[:, 3]
+    build = surrogate._training_gram
+    probes = []
+
+    def counting(X, blocks):
+        gram = build(X, blocks)
+
+        def probe(theta, lam):
+            probes.append((theta.tobytes(), lam))
+            return gram(theta, lam)
+
+        return probe
+
+    monkeypatch.setattr(surrogate, "_training_gram", counting)
+    model = gp_fit(X, y, space)
+    # the final factorization rebuilds the Gram of a probed point
+    assert model.jitter == 0.0
+    final = probes.pop()
+    assert final in probes
+    assert len(set(probes)) == len(probes)
+    # the search repeated some probes, and each repeat still counts
+    assert len(probes) < model.evaluations
 
 
 @pytest.mark.parametrize("present", ["x", "xy", "xz", "xyz", "z"])
@@ -416,11 +462,12 @@ def poison_lower_triangle(monkeypatch):
     """
     tile = surrogate._gram_tile
 
-    def poisoned(a, b, params, blocks, out):
-        tile(a, b, params, blocks, out)
-        if np.array_equal(a, b[: len(a)]):
-            block = out[:, : len(a)]
-            block[np.tri(len(a), k=-1, dtype=bool)] = np.nan
+    def poisoned(a, b, params, out):
+        tile(a, b, params, out)
+        m = out.shape[0]
+        if all(u is None or np.array_equal(u, v[:m]) for u, v in zip(a, b)):
+            block = out[:, :m]
+            block[np.tri(m, k=-1, dtype=bool)] = np.nan
 
     monkeypatch.setattr(surrogate, "_gram_tile", poisoned)
 
@@ -482,6 +529,50 @@ def test_square_gram_is_exactly_symmetric():
     assert np.array_equal(G, G.T)
     upper = np.triu_indices(700)
     assert np.array_equal(G[upper], mixture_gram(H, H, p, space.blocks)[upper])
+    # F-ordered points give the same bits, square and cross
+    F = np.asfortranarray(H)
+    assert np.array_equal(mixture_gram(F, None, p, space.blocks), G)
+    assert np.array_equal(mixture_gram(F, F, p, space.blocks)[upper], G[upper])
+
+
+def float_indicator_gram(A, B, lam):
+    """The mixture Gram of a qualitative block alone, matches counted by float ``==``."""
+    ind = (A[:, None, :] == B[None, :, :]).sum(axis=2) / A.shape[1]
+    return (1.0 - lam) * ind + lam * ind
+
+
+def qualitative_values(case, rng, n, dz):
+    if case == "off-lattice":
+        return rng.choice([0.1, 1.0 / 3.0, 0.35, 0.7, 0.7000000000000001, 2.5], size=(n, dz))
+    if case == "signed-zero":
+        return rng.choice([-0.0, 0.0, 0.5], size=(n, dz))
+    if case == "nan":
+        return rng.choice([np.nan, 0.0, 1.0], size=(n, dz))
+    values = rng.choice([0.0, 0.5, 1.0], size=(n, dz))
+    values[:, 1] = rng.permutation(n) / 7.0  # n distinct values
+    return values
+
+
+@pytest.mark.parametrize("case", ["off-lattice", "signed-zero", "nan", "many-values"])
+def test_coded_indicator_matches_float_comparison(case, monkeypatch):
+    # codes stand for the values exactly when float == says they are
+    # equal: NaN matches nothing, itself included
+    rng = np.random.default_rng(12)
+    n, m, dz = 300, 40, 5
+    A = qualitative_values(case, rng, n, dz)
+    B = np.vstack([A[:10], qualitative_values(case, rng, m - 10, dz)])
+    empty = np.array([], dtype=np.intp)
+    bl = Blocks(x=empty, y=empty, z=np.arange(dz))
+    p = KernelParams(lengthscales=np.ones(0), lam=0.3)
+    square, cross = float_indicator_gram(A, A, p.lam), float_indicator_gram(A, B, p.lam)
+    # more than 255 distinct values in a column need 16-bit codes
+    assert surrogate._codes(A).dtype == (np.uint16 if case == "many-values" else np.uint8)
+    # one tile of whole-matrix pieces; then 2-row tiles with 1-row pieces
+    for align, tile, piece in ((None, None, None), (2, 4 * n, 1)):
+        set_tiles(monkeypatch, align, tile, piece)
+        assert np.array_equal(mixture_gram(A, None, p, bl), square)
+        assert np.array_equal(mixture_gram(A, B, p, bl), cross)
+        assert np.array_equal(mixture_gram(B, A, p, bl), cross.T)
 
 
 def test_gp_sample_over_several_row_tiles_matches_numpy_cholesky(monkeypatch):
