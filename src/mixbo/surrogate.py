@@ -332,17 +332,20 @@ def _block_inputs(A: np.ndarray, B: np.ndarray, params: KernelParams, blocks: Bl
     included, and no product multiplies a buffer by its own transpose,
     which numpy computes with ``syrk`` instead of ``gemm``.
     """
-    H = np.vstack([A, B])
+
+    def stacked(block: np.ndarray) -> np.ndarray:
+        return np.vstack([A[:, block], B[:, block]])
+
     x = xx = y = z = None
     if blocks.x.size:
-        xf = np.asfortranarray(H[:, blocks.x] / params.lengthscales)
+        xf = np.asfortranarray(stacked(blocks.x) / params.lengthscales)
         # an F-ordered sum adds a row's squares one dimension at a time
         xx = np.sum(xf**2, axis=1)
         x = np.ascontiguousarray(xf)
     if blocks.y.size:
-        y = np.ascontiguousarray(H[:, blocks.y])
+        y = np.ascontiguousarray(stacked(blocks.y))
     if blocks.z.size:
-        z = _codes(H[:, blocks.z])
+        z = _codes(stacked(blocks.z))
     both = _Inputs(x, xx, y, z)
     n = A.shape[0]
     return both.rows(slice(0, n)), both.rows(slice(n, None))
