@@ -270,7 +270,7 @@ def test_posterior_covariance_clips_negative_eigenvalues(monkeypatch):
     space = mixed_space()
     rng = np.random.default_rng(9)
     model = gp_fit(sample_inputs(rng, space, 8), rng.standard_normal(8), space)
-    # a triangle with a clearly negative eigenvalue, as rounding could leave
+    # an upper triangle with a clearly negative eigenvalue, which the root clips
     q = 6
     vecs = np.linalg.qr(rng.standard_normal((q, q)))[0]
     vals = np.array([-0.5, 1e-3, 0.2, 0.7, 1.0, 2.0])
