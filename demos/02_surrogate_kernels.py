@@ -59,6 +59,10 @@ print("gram min eigenvalue:", float(np.linalg.eigvalsh(G).min().round(8)))
 # gp_fit standardizes the targets, maximizes the marginal likelihood
 # over lengthscales, signal variance, noise, and lam, and returns a
 # frozen model. Posterior mean and covariance come from gp_posterior.
+# Four starts race through one coordinate sweep each and only the
+# leader runs the second. Here a sweep makes P = 13 * 4 + 4 = 56
+# likelihood evaluations (two real dimensions, signal and noise, then
+# the lam scan), so the search makes 4 * (1 + P) + P = 284.
 values = np.array([np.sin(6 * h[0]) + 0.3 * h[2] + 0.2 * h[3] for h in H])
 model = gp_fit(H, values, space)
 print("fitted lam:", round(model.params.lam, 3), "log likelihood:", round(model.log_likelihood, 2))

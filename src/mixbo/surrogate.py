@@ -18,8 +18,12 @@ Grams that are present; the scalar kernels stay as the reference.
 
 Targets are standardized internally before fitting. Hyperparameters are
 chosen by maximizing the log marginal likelihood with a deterministic
-multi-start coordinate search under a hard budget of likelihood
-evaluations, so fits are reproducible and their cost is bounded. Every
+coordinate search whose fixed starts race, as in successive halving
+(Jamieson & Talwalkar, AISTATS 2016): every start runs one coordinate
+sweep, and only the leader, the start with the highest evidence, runs
+the rest. A hard budget of likelihood evaluations limits the starts
+that race to those that leave the leader's remaining sweeps whole, so
+fits are reproducible and their cost is bounded. Every
 training Gram of a fit, searched or final, comes from one builder and
 is factored in its buffer by LAPACK ``potrf``. The builder keeps the
 pieces of its last Gram and rebuilds only those a probe changed: only a
@@ -553,8 +557,9 @@ def _cholesky(fill, first: float, retries: int) -> tuple[np.ndarray | None, floa
     return None, jitter
 
 
-#: Coordinate sweeps per search start, and likelihood evaluations per
-#: fit; the cap binds on the largest spaces (D = 64).
+#: Coordinate sweeps of a fit: every start races through the first and
+#: the leader alone runs the rest. Likelihood evaluations per fit; the
+#: cap limits the starts that race on the largest spaces (D = 64).
 _FIT_SWEEPS = 2
 _MAX_FIT_EVALS = 2000
 
@@ -566,6 +571,15 @@ _NOISE_BOUNDS = (1e-6, 1e-2)
 
 #: Admissible mixing weights lam.
 _LAMBDA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+#: Search starts as (lengthscale, signal variance, noise variance), in
+#: race order; the first is the default, so a fit is never below it.
+_FIT_STARTS = (
+    (DEFAULT_LENGTHSCALE, DEFAULT_SIGNAL_VARIANCE, DEFAULT_NOISE_VARIANCE),
+    (0.15, 2.0, 1e-4),
+    (1.0, 0.5, 1e-3),
+    (0.05, 5.0, 1e-2),
+)
 
 
 def _training_gram(X: np.ndarray, blocks: Blocks):
@@ -687,21 +701,31 @@ def gp_fit(
     Targets are standardized to zero mean and unit variance (std floored
     at 1e-8) before fitting, scaled by a power of two so that they stay
     finite up to the float64 limit. Hyperparameters maximize the log
-    marginal likelihood via a fixed set of starts, each followed by two
-    sweeps of coordinate-wise golden-section refinement of the log
-    lengthscales, the log signal variance (with an x-block) and the log
-    noise variance, then a scan of the mixing weights 0, 0.25, ..., 1.
+    marginal likelihood by sweeps of coordinate-wise golden-section
+    refinement of the log lengthscales, the log signal variance (with
+    an x-block) and the log noise variance, each sweep followed by a
+    scan of the four mixing weights in 0, 0.25, ..., 1 other than the
+    one the sweep started with. Four fixed starts race: each runs one
+    sweep, and the leader, the start with the highest log evidence
+    (the first on ties), runs the second sweep alone, on the path a
+    fit from that start alone takes. A sweep makes
+    ``P = 13 c + 4`` evaluations over c coordinates (``13 c`` without
+    a discrete block), so an uncapped fit makes ``4 (1 + P) + P``.
     Each probe rebuilds only the parts of the training Gram it changed:
     signal-variance probes and the lam scan reuse the lengthscale-only
     Matern factors, and noise probes reuse the whole noiseless Gram.
     Lengthscales lie in [0.005, 2], the signal variance in [0.05, 20]
     and the noise variance in [1e-6, 1e-2]. The search is
-    deterministic and stops after 2000 likelihood evaluations, which
-    ``GpModel.evaluations`` counts; a probe that repeats an earlier
-    (hyperparameters, lam) pair counts as one, but its likelihood is
-    looked up, not computed again. The fitted likelihood is never
-    below the likelihood at the default hyperparameters because the
-    first start probes them. The final factorization escalates diagonal
+    deterministic and makes at most 2000 likelihood evaluations, which
+    ``GpModel.evaluations`` counts: only ``(2000 - P) // (1 + P)``
+    starts race when that is fewer than four, at least one, so the
+    leader's second sweep is whole unless one start's two sweeps
+    exceed the cap (beyond D = 64), where the search stops at it. A
+    probe that repeats an earlier (hyperparameters, lam) pair counts
+    as one, but its likelihood is looked up, not computed again. The
+    fitted likelihood is never below the likelihood at the default
+    hyperparameters because the first start probes them and the leader
+    is the best start. The final factorization escalates diagonal
     jitter from 1e-8 by factors of 10 up to 1e-2 before raising
     NumericalError; without jitter, the log likelihood is the evidence
     of the Gram the model holds.
@@ -760,46 +784,47 @@ def gp_fit(
     box = [_LENGTHSCALE_BOUNDS] * dx + [_SIGNAL_BOUNDS, _NOISE_BOUNDS]
     bounds = np.array([(math.log(lo), math.log(hi)) for lo, hi in box])
     coords = range(dx + 2) if dx else [dx + 1]
-    starts = [
-        (DEFAULT_LENGTHSCALE, DEFAULT_SIGNAL_VARIANCE, DEFAULT_NOISE_VARIANCE),
-        (0.15, 2.0, 1e-4),
-        (1.0, 0.5, 1e-3),
-        (0.05, 5.0, 1e-2),
-    ]
 
-    best = None  # (ll, theta, lam)
-    for ls0, sv0, nv0 in starts:
+    def sweep(theta: np.ndarray, lam: float, ll: float) -> tuple[np.ndarray, float, float]:
+        """One golden section per coordinate, then the lam scan; ll only rises."""
+        for k in coords:
+            trial = theta.copy()
+
+            def along(v: float) -> float:
+                trial[k] = v
+                return likelihood(trial, lam)
+
+            arg, val = _golden_section(along, *bounds[k])
+            if val > ll:
+                theta[k], ll = arg, val
+        if lam_relevant:
+            scanned = lam
+            for g in _LAMBDA_GRID:
+                if g == scanned:  # its likelihood is at most ll already
+                    continue
+                val = likelihood(theta, g)
+                if val > ll:
+                    lam, ll = g, val
+        return theta, lam, ll
+
+    # A sweep makes 13 evaluations per coordinate (both ends, two inner
+    # points and 9 golden steps) and 4 in the lam scan. Every start that
+    # races gets one sweep; as many race as leave the leader's remaining
+    # sweeps whole under the cap.
+    per_sweep = 13 * len(coords) + 4 * lam_relevant
+    rest = (_FIT_SWEEPS - 1) * per_sweep
+    racers = max(1, min(len(_FIT_STARTS), (_MAX_FIT_EVALS - rest) // (1 + per_sweep)))
+    raced = []
+    for ls0, sv0, nv0 in _FIT_STARTS[:racers]:
         log_start = [math.log(ls0)] * dx + [math.log(sv0), math.log(nv0)]
         theta = np.clip(log_start, bounds[:, 0], bounds[:, 1])
         lam = 0.5 if lam_relevant else 0.0
-        ll = likelihood(theta, lam)
-        for _ in range(_FIT_SWEEPS):
-            if evals >= _MAX_FIT_EVALS:
-                break
-            for k in coords:
-                trial = theta.copy()
+        raced.append(sweep(theta, lam, likelihood(theta, lam)))
+    # the leader has the highest evidence, the first start on ties
+    theta, lam, ll_best = max(raced, key=lambda run: run[2])
+    for _ in range(_FIT_SWEEPS - 1):
+        theta, lam, ll_best = sweep(theta, lam, ll_best)
 
-                def along(v: float) -> float:
-                    trial[k] = v
-                    return likelihood(trial, lam)
-
-                arg, val = _golden_section(along, *bounds[k])
-                if val > ll:
-                    theta[k], ll = arg, val
-            if lam_relevant:
-                for g in _LAMBDA_GRID:
-                    if g == lam:  # its likelihood is ll already
-                        continue
-                    val = likelihood(theta, g)
-                    if val > ll:
-                        lam, ll = g, val
-        # ll only rises within a start, so its end state is its best
-        if best is None or ll > best[0]:
-            best = (ll, theta, lam)
-        if evals >= _MAX_FIT_EVALS:
-            break
-
-    ll_best, theta, lam = best
     params = KernelParams(
         lengthscales=np.exp(theta[:dx]),
         signal_variance=math.exp(theta[dx]),

@@ -308,6 +308,70 @@ def test_fit_never_does_worse_than_default_parameters(monkeypatch):
     assert model.log_likelihood >= stub.log_likelihood - 1e-9
 
 
+def sweep_evaluations(space):
+    """Likelihood evaluations of one coordinate sweep of a fit on space."""
+    blocks = space.blocks
+    coords = blocks.x.size + 2 if blocks.x.size else 1
+    return 13 * coords + 4 * bool(blocks.y.size or blocks.z.size)
+
+
+def same_model(a, b):
+    return (
+        np.array_equal(a.params.lengthscales, b.params.lengthscales)
+        and (a.params.signal_variance, a.params.lam, a.params.noise_variance)
+        == (b.params.signal_variance, b.params.lam, b.params.noise_variance)
+        and np.array_equal(a._chol, b._chol)
+        and np.array_equal(a._alpha, b._alpha)
+        and a.log_likelihood == b.log_likelihood
+    )
+
+
+def test_fit_races_every_start_for_one_sweep(monkeypatch):
+    space = mixed_space()
+    rng = np.random.default_rng(19)
+    X = sample_inputs(rng, space, 14)
+    y = np.sin(4 * X[:, 0]) + 0.5 * X[:, 2] + (X[:, 3] > 0.4)
+    P = sweep_evaluations(space)
+    assert gp_fit(X, y, space).evaluations == 4 * (1 + P) + P
+    assert len(surrogate._FIT_STARTS) == 4
+    # a cap with room for two racers and the leader's second sweep: two
+    # race, and the fit is the uncapped fit over the first two starts
+    monkeypatch.setattr(surrogate, "_FIT_STARTS", surrogate._FIT_STARTS[:2])
+    pair = gp_fit(X, y, space)
+    monkeypatch.undo()
+    for cap in (2 * (1 + P) + P, 3 * (1 + P) + P - 1):
+        monkeypatch.setattr(surrogate, "_MAX_FIT_EVALS", cap)
+        capped = gp_fit(X, y, space)
+        assert capped.evaluations == pair.evaluations == 2 * (1 + P) + P
+        assert same_model(capped, pair)
+
+
+def test_raced_fit_is_the_leaders_single_start_fit(monkeypatch):
+    space = mixed_space()
+    rng = np.random.default_rng(19)
+    X = sample_inputs(rng, space, 14)
+    y = np.sin(4 * X[:, 0]) + 0.5 * X[:, 2] + (X[:, 3] > 0.4)
+    raced = gp_fit(X, y, space)
+    starts = surrogate._FIT_STARTS
+
+    def alone(start, sweeps):
+        monkeypatch.setattr(surrogate, "_FIT_STARTS", (start,))
+        monkeypatch.setattr(surrogate, "_FIT_SWEEPS", sweeps)
+        model = gp_fit(X, y, space)
+        monkeypatch.undo()
+        return model
+
+    # the leader has the highest evidence after one sweep, the first on
+    # ties; here it is not the default start
+    first = [alone(start, 1).log_likelihood for start in starts]
+    leader = first.index(max(first))
+    assert leader != 0
+    assert same_model(raced, alone(starts[leader], 2))
+    # the second sweep only rises, so the race beats every start's first
+    # sweep, the default's included
+    assert raced.log_likelihood >= max(first)
+
+
 def test_fit_computes_each_likelihood_once(monkeypatch):
     space = mixed_space()
     rng = np.random.default_rng(3)
