@@ -257,6 +257,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _checked(convert, ok, what: str):
+    """argparse type: ``convert(text)``, which must satisfy ``ok``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in its errors
+    return parse
+
+
+_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "at least 1")
+_NONNEGATIVE = _checked(int, lambda v: v >= 0, "at least 0")
+_POSITIVE_SECONDS = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixbo", description="Mixed-variable trust-region Bayesian optimization."
@@ -269,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--objective", action="append", help="objective name (repeatable; overrides --suite)"
     )
     p_bench.add_argument("--arm", action="append", help=f"arm to run (repeatable; default all of {list(ARMS)})")
-    p_bench.add_argument("--seeds", type=int, default=10, help="number of paired seeds")
-    p_bench.add_argument("--seed", type=int, default=0, help="first seed")
+    p_bench.add_argument("--seeds", type=_AT_LEAST_ONE, default=10, help="number of paired seeds")
+    p_bench.add_argument("--seed", type=_NONNEGATIVE, default=0, help="first seed")
     p_bench.add_argument("--config", help="path to a base config JSON")
     p_bench.add_argument("--out", default=".", help="output directory")
     p_bench.set_defaults(func=cmd_bench)
@@ -284,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--space", required=True, help="path to the space JSON")
     p_run.add_argument("--config", help="path to the config JSON")
     p_run.add_argument("--cmd", required=True, help="shell command; point JSON on stdin, value on stdout")
-    p_run.add_argument("--seed", type=int, help="override the config seed")
-    p_run.add_argument("--timeout", type=float, default=300.0, help="per-evaluation timeout in seconds")
+    p_run.add_argument("--seed", type=_NONNEGATIVE, help="override the config seed")
+    p_run.add_argument("--timeout", type=_POSITIVE_SECONDS, default=300.0, help="per-evaluation timeout in seconds")
     p_run.add_argument("--out", help="also write the result JSON here")
     p_run.set_defaults(func=cmd_run)
 

@@ -149,19 +149,13 @@ def config_from_dict(doc: dict) -> OptimizerConfig:
 class Observation:
     """One evaluated point as the optimizer recorded it.
 
-    ``warped`` is the exact coordinate vector of ``point``; ``arms``
-    maps each qualitative variable to the arm index the point plays;
-    ``new_best`` says whether the value improved the global best as of
-    the start of its batch; ``warned`` marks values that arrived
-    non-finite and were imputed to +inf.
+    ``warped`` is the exact coordinate vector of ``point``; ``warned``
+    marks values that arrived non-finite and were imputed to +inf.
     """
 
     point: Point
     warped: np.ndarray
     value: float
-    iteration: int
-    arms: dict[str, int]
-    new_best: bool
     warned: bool
 
 
@@ -213,9 +207,8 @@ class Optimizer:
         self._init_points = config.resolved_init_points(space.dim)
         n_batches = math.ceil(self._init_points / config.batch_size)
         design_seed = int(self._rng.integers(0, 2**31))
-        self._init_design = space.snap(
-            turbo_mod.sobol_points(n_batches * config.batch_size, space.dim, seed=design_seed)
-        )
+        # suggest unwarps every row onto the lattice
+        self._init_design = turbo_mod.sobol_points(n_batches * config.batch_size, space.dim, seed=design_seed)
         self._history: list[Observation] = []
         self._pending: _Pending | None = None
         self._tr = turbo_mod.new_state()
@@ -225,7 +218,6 @@ class Optimizer:
         self._bandit = BanditState.from_space(space) if space.qualitative_params else None
         self._best_point: Point | None = None
         self._best_value = math.inf
-        self._iteration = 0
         self._counters = {
             "gp_fits": 0,
             "arp_fits": 0,
@@ -249,7 +241,7 @@ class Optimizer:
     def diagnostics(self) -> dict[str, Any]:
         """Counters and region geometry, for tests and instrumentation."""
         out = dict(self._counters)
-        out["iterations"] = self._iteration
+        out["iterations"] = len(self._history) // self.config.batch_size
         out["observations"] = len(self._history)
         out["restarts"] = self._tr.restarts
         out["tr_length"] = self._tr.length
@@ -412,20 +404,8 @@ class Optimizer:
 
         pre_best = self._best_value
         flags = [v < pre_best for v in imputed]
-        for point, w, v, arms, nb, warn in zip(
-            pend.points, pend.warped, imputed, pend.arms, flags, warned
-        ):
-            self._history.append(
-                Observation(
-                    point=dict(point),
-                    warped=w.copy(),
-                    value=v,
-                    iteration=self._iteration,
-                    arms=dict(arms),
-                    new_best=nb,
-                    warned=warn,
-                )
-            )
+        for point, w, v, warn in zip(pend.points, pend.warped, imputed, warned):
+            self._history.append(Observation(point=dict(point), warped=w.copy(), value=v, warned=warn))
             if v < self._best_value:
                 self._best_value = v
                 self._best_point = dict(point)
@@ -445,7 +425,6 @@ class Optimizer:
             self._restart_pending = True
 
         self._pending = None
-        self._iteration += 1
 
 
 def create(space: SearchSpace, config: OptimizerConfig | None = None) -> Optimizer:

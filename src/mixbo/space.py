@@ -92,8 +92,17 @@ class ParamSpec:
             for bound in (self.lo, self.hi):
                 if isinstance(bound, bool) or not isinstance(bound, numbers.Real):
                     raise ValidationError(f"parameter {self.name!r}: bounds must be numbers, got {bound!r}")
-            if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-                raise ValidationError(f"parameter {self.name!r}: bounds must be finite")
+            # the warp divides by the span, or on a log scale by the log of
+            # the ratio; an int beyond the float range raises OverflowError
+            try:
+                sizes = [self.lo, self.hi, self.hi - self.lo]
+                if self.scale == "log" and self.lo > 0:
+                    sizes.append(self.hi / self.lo)
+                finite = all(math.isfinite(v) for v in sizes)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValidationError(f"parameter {self.name!r}: bounds, span and log-scale ratio must be finite floats")
             if not self.lo < self.hi:
                 raise ValidationError(
                     f"parameter {self.name!r}: lo must be < hi, got [{self.lo}, {self.hi}]"

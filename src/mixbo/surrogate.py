@@ -645,12 +645,14 @@ def _training_gram(X: np.ndarray, blocks: Blocks):
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 9
 
 
-def _golden_section(fun, lo: float, hi: float, iters: int = 9):
+def _golden_section(fun, lo: float, hi: float):
     """Deterministic golden-section maximization on [lo, hi].
 
-    Returns the best probed (argument, value) pair, including endpoints.
+    Probes both ends, two inner points and ``_GOLDEN_STEPS`` more, and
+    returns the best probed (argument, value) pair.
     """
     pts = [(lo, fun(lo)), (hi, fun(hi))]
     a, b = lo, hi
@@ -658,7 +660,7 @@ def _golden_section(fun, lo: float, hi: float, iters: int = 9):
     d = a + _GOLDEN * (b - a)
     fc, fd = fun(c), fun(d)
     pts += [(c, fc), (d, fd)]
-    for _ in range(iters):
+    for _ in range(_GOLDEN_STEPS):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -721,8 +723,8 @@ def gp_fit(
     starts race when that is fewer than four, at least one, so the
     leader's second sweep is whole unless one start's two sweeps
     exceed the cap (beyond D = 64), where the search stops at it. A
-    probe that repeats an earlier (hyperparameters, lam) pair counts
-    as one, but its likelihood is looked up, not computed again. The
+    probe that repeats an earlier (hyperparameters, lam) pair, as about
+    one in a hundred do, is computed again and counts as one. The
     fitted likelihood is never below the likelihood at the default
     hyperparameters because the first start probes them and the leader
     is the best start. The final factorization escalates diagonal
@@ -756,23 +758,13 @@ def gp_fit(
     gram = _training_gram(X, blocks)
     lam_relevant = bool(blocks.y.size or blocks.z.size)
     evals = 0
-    known = {}  # (theta bytes, lam) -> log evidence
 
     def likelihood(theta: np.ndarray, lam: float) -> float:
-        """Exact Gaussian log evidence; -inf when the factorization fails.
-
-        A repeated probe counts as an evaluation but is looked up.
-        """
+        """Exact Gaussian log evidence; -inf when the factorization fails."""
         nonlocal evals
         if evals >= _MAX_FIT_EVALS:
             return -np.inf
         evals += 1
-        key = (theta.tobytes(), lam)
-        if key not in known:
-            known[key] = evidence(theta, lam)
-        return known[key]
-
-    def evidence(theta: np.ndarray, lam: float) -> float:
         c, _ = _cholesky(lambda: gram(theta, lam), 0.0, 0)
         if c is None:
             return -np.inf
@@ -807,11 +799,10 @@ def gp_fit(
                     lam, ll = g, val
         return theta, lam, ll
 
-    # A sweep makes 13 evaluations per coordinate (both ends, two inner
-    # points and 9 golden steps) and 4 in the lam scan. Every start that
-    # races gets one sweep; as many race as leave the leader's remaining
-    # sweeps whole under the cap.
-    per_sweep = 13 * len(coords) + 4 * lam_relevant
+    # A sweep makes one golden section per coordinate and 4 evaluations
+    # in the lam scan. Every start that races gets one sweep; as many
+    # race as leave the leader's remaining sweeps whole under the cap.
+    per_sweep = (4 + _GOLDEN_STEPS) * len(coords) + 4 * lam_relevant
     rest = (_FIT_SWEEPS - 1) * per_sweep
     racers = max(1, min(len(_FIT_STARTS), (_MAX_FIT_EVALS - rest) // (1 + per_sweep)))
     raced = []

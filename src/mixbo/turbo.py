@@ -25,6 +25,7 @@ low-discrepancy structure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -210,6 +211,7 @@ def _parse_direction_table(text: str) -> list[tuple[int, int, list[int]]]:
     return rows
 
 
+@functools.cache
 def _load_direction_vectors() -> np.ndarray:
     """Direction vectors V with shape (64, 32), scaled to the top bits."""
     text = resources.files("mixbo.data").joinpath(_SOBOL_DATA).read_text()
@@ -238,16 +240,6 @@ def _load_direction_vectors() -> np.ndarray:
     if expected != _SOBOL_MAX_DIM + 1:
         raise ValueError("direction table must define dimensions up to 64")
     return V
-
-
-_DIRECTION_CACHE: np.ndarray | None = None
-
-
-def _direction_vectors() -> np.ndarray:
-    global _DIRECTION_CACHE
-    if _DIRECTION_CACHE is None:
-        _DIRECTION_CACHE = _load_direction_vectors()
-    return _DIRECTION_CACHE
 
 
 def sobol_points(n: int, dim: int, seed: int | None = None) -> np.ndarray:
@@ -282,7 +274,7 @@ def sobol_points(n: int, dim: int, seed: int | None = None) -> np.ndarray:
         raise UnsupportedDimensionError(f"dim must be in [1, {_SOBOL_MAX_DIM}], got {dim}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    V = _direction_vectors()[:dim]
+    V = _load_direction_vectors()[:dim]
     out = np.zeros((n, dim), dtype=np.uint64)
     state = np.zeros(dim, dtype=np.uint64)
     for i in range(1, n):

@@ -373,8 +373,9 @@ def test_run_subcommand_survives_a_partly_failing_command(tmp_path, capsys):
         (SPACE_DOC, {"batch_size": 2, "max_iterations": 1, "turbo": {"n_candidates": 5.5}}),
         ({"params": [{"name": "x", "kind": "real", "lo": "0", "hi": 1}]}, {"batch_size": 2, "max_iterations": 1}),
         ({"params": [{"name": "c", "kind": "categorical", "categories": "abc"}]}, {"batch_size": 2, "max_iterations": 1}),
+        ({"params": [{"name": "n", "kind": "integer", "lo": 0, "hi": 10**400}]}, {"batch_size": 2, "max_iterations": 1}),
     ],
-    ids=["batch_size", "max_iterations", "seed", "turbo", "lo", "categories"],
+    ids=["batch_size", "max_iterations", "seed", "turbo", "lo", "categories", "huge-bound"],
 )
 def test_run_rejects_mistyped_documents_without_a_traceback(tmp_path, space_doc, config_doc):
     space_path = tmp_path / "space.json"
@@ -390,9 +391,17 @@ def test_run_rejects_mistyped_documents_without_a_traceback(tmp_path, space_doc,
 # --- argument handling ---------------------------------------------------------
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(tmp_path):
     assert main(["bogus-subcommand"]) == 2
     assert main([]) == 2
+    # counts and the timeout are checked before any study or evaluation
+    out = tmp_path / "out"
+    for bad in (["--seeds", "0"], ["--seed", "-1"]):
+        assert main(["bench", "--out", str(out), *bad]) == 2
+    assert not out.exists()
+    run = ["run", "--space", str(tmp_path / "nope.json"), "--cmd", "true"]
+    for bad in (["--seed", "-1"], ["--timeout", "-1"], ["--timeout", "0"], ["--timeout", "nan"]):
+        assert main([*run, *bad]) == 2
 
 
 def test_missing_files_exit_one(tmp_path):

@@ -292,6 +292,11 @@ def test_space_documents_are_type_checked():
         {"name": "x", "kind": "real", "lo": [0], "hi": 1},
         {"name": "c", "kind": "categorical", "categories": "abc"},
         {"name": "c", "kind": "categorical", "categories": {"a": 1, "b": 2}},
+        # a bound, the span and the log-scale ratio must be finite floats
+        {"name": "x", "kind": "real", "lo": -1.7e308, "hi": 1.7e308},
+        {"name": "x", "kind": "real", "lo": 5e-324, "hi": 1e308, "scale": "log"},
+        {"name": "n", "kind": "integer", "lo": 0, "hi": 10**400},
+        {"name": "n", "kind": "integer", "lo": -(10**308), "hi": 10**308},
     ):
         with pytest.raises(ValidationError):
             space_from_dict({"params": [entry]})

@@ -4,6 +4,7 @@ Scalar kernel reference values were computed independently from the
 closed-form expression at 40 decimal digits and are frozen here.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -372,32 +373,75 @@ def test_raced_fit_is_the_leaders_single_start_fit(monkeypatch):
     assert raced.log_likelihood >= max(first)
 
 
-def test_fit_computes_each_likelihood_once(monkeypatch):
-    space = mixed_space()
-    rng = np.random.default_rng(3)
-    X = sample_inputs(rng, space, 40)
-    y = np.sin(6 * X[:, 0]) + 0.3 * X[:, 2] + 0.2 * X[:, 3]
+def probe_log(monkeypatch, fail_below=0.0):
+    """Record every training Gram the fit builds as (theta bytes, lam).
+
+    Grams whose noise variance is below ``fail_below`` come back all NaN,
+    so their factorization fails.
+    """
     build = surrogate._training_gram
     probes = []
 
-    def counting(X, blocks):
+    def logged(X, blocks):
         gram = build(X, blocks)
 
         def probe(theta, lam):
             probes.append((theta.tobytes(), lam))
-            return gram(theta, lam)
+            out = gram(theta, lam)
+            if math.exp(theta[-1]) < fail_below:
+                out.fill(np.nan)
+            return out
 
         return probe
 
-    monkeypatch.setattr(surrogate, "_training_gram", counting)
+    monkeypatch.setattr(surrogate, "_training_gram", logged)
+    return probes
+
+
+def test_fit_builds_one_gram_per_evaluation(monkeypatch):
+    space = mixed_space()
+    rng = np.random.default_rng(3)
+    X = sample_inputs(rng, space, 40)
+    y = np.sin(6 * X[:, 0]) + 0.3 * X[:, 2] + 0.2 * X[:, 3]
+    probes = probe_log(monkeypatch)
     model = gp_fit(X, y, space)
     # the final factorization rebuilds the Gram of a probed point
     assert model.jitter == 0.0
     final = probes.pop()
     assert final in probes
-    assert len(set(probes)) == len(probes)
-    # the search repeated some probes, and each repeat still counts
-    assert len(probes) < model.evaluations
+    # the search repeats some probes, and a repeat is computed again
+    assert len(set(probes)) < len(probes) == model.evaluations
+
+
+def test_fit_steps_around_failed_factorizations(monkeypatch):
+    space = mixed_space()
+    rng = np.random.default_rng(19)
+    X = sample_inputs(rng, space, 14)
+    y = np.sin(4 * X[:, 0]) + 0.5 * X[:, 2] + (X[:, 3] > 0.4)
+    assert gp_fit(X, y, space).params.noise_variance < 1e-4
+    probe_log(monkeypatch, fail_below=1e-4)
+    model = gp_fit(X, y, space)
+    # a failed probe has likelihood -inf, so the search keeps to the
+    # noise variances that factor
+    assert model.params.noise_variance >= 1e-4 and model.jitter == 0.0
+    assert math.isfinite(model.log_likelihood)
+    assert np.isfinite(model._chol).all() and np.isfinite(model._alpha).all()
+
+
+def test_fit_raises_when_every_factorization_fails(monkeypatch):
+    space = mixed_space()
+    rng = np.random.default_rng(19)
+    X = sample_inputs(rng, space, 14)
+    y = np.sin(4 * X[:, 0]) + 0.5 * X[:, 2] + (X[:, 3] > 0.4)
+    probes = probe_log(monkeypatch, fail_below=np.inf)
+    with pytest.raises(surrogate.NumericalError):
+        gp_fit(X, y, space)
+    # every start ties at -inf, so the first leads and no probe moves it;
+    # the final factorization tries it 8 times (no jitter, then 1e-8 up
+    # to 1e-2) after the uncapped search
+    P = sweep_evaluations(space)
+    assert len(probes) == 4 * (1 + P) + P + 8
+    assert probes[-8:] == probes[:1] * 8
 
 
 @pytest.mark.parametrize("present", ["x", "xy", "xz", "xyz", "z"])
