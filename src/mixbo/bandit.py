@@ -8,8 +8,9 @@ uncertainty rather than an explicit schedule. After a batch is
 evaluated, the arms chosen for a point are credited with a success when
 that point improved on the global best, and with a failure otherwise.
 
-Arm indices follow the declaration order of the parameter: booleans map
-false to arm 0 and true to arm 1, categoricals use the category index.
+Arm k of a parameter is its value ``choices[k]``: a boolean's
+``(False, True)`` or a categorical's labels in declaration order, whose
+warped coordinate is k/(K-1).
 """
 
 from __future__ import annotations

@@ -357,13 +357,14 @@ def run_study(
     traces = []
     for seed in seeds:
         t0 = time.perf_counter()
+        curve: list[float] = []
+        error = None
         try:
             if arm == RANDOM_ARM:
                 opt = RandomSearch(objective.space, base_config.batch_size, seed)
             else:
                 opt = Optimizer(objective.space, arm_config(arm, base_config, seed))
             best = math.inf
-            curve = []
             for _ in range(base_config.max_iterations):
                 pts = opt.suggest()
                 vals = [objective.evaluate(p) for p in pts]
@@ -372,26 +373,18 @@ def run_study(
                 if finite:
                     best = min(best, min(finite))
                 curve.append(best)
-            traces.append(
-                StudyTrace(
-                    objective=objective.name,
-                    optimizer=arm,
-                    seed=seed,
-                    best_values=tuple(curve),
-                    wall_seconds=time.perf_counter() - t0,
-                )
-            )
         except Exception as exc:  # noqa: BLE001 - a failed run must not sink the study
-            traces.append(
-                StudyTrace(
-                    objective=objective.name,
-                    optimizer=arm,
-                    seed=seed,
-                    best_values=(),
-                    wall_seconds=time.perf_counter() - t0,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+            curve, error = [], f"{type(exc).__name__}: {exc}"
+        traces.append(
+            StudyTrace(
+                objective=objective.name,
+                optimizer=arm,
+                seed=seed,
+                best_values=tuple(curve),
+                wall_seconds=time.perf_counter() - t0,
+                error=error,
             )
+        )
     return traces
 
 
@@ -473,7 +466,7 @@ def run_ablation(
         arms = list(ARMS)
     unknown = [a for a in arms if a not in ARMS]
     if unknown:
-        raise KeyError(f"unknown arms: {unknown}")
+        raise KeyError(f"unknown arms: {unknown}; known: {list(ARMS)}")
     seeds = list(seeds)
 
     all_traces: list[StudyTrace] = []

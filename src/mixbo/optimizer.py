@@ -163,15 +163,6 @@ class Observation:
 class _Pending:
     points: list[Point]
     warped: np.ndarray
-    arms: list[dict[str, int]]
-
-
-def _arm_indices(space: SearchSpace, point: Point) -> dict[str, int]:
-    arms = {}
-    for p in space.qualitative_params:
-        val = point[p.name]
-        arms[p.name] = int(val) if p.kind == "boolean" else p.categories.index(val)
-    return arms
 
 
 class Optimizer:
@@ -216,14 +207,11 @@ class Optimizer:
         self._model: GpModel | None = None
         self._classifier: RegionClassifier | None = None
         self._bandit = BanditState.from_space(space) if space.qualitative_params else None
-        self._best_point: Point | None = None
-        self._best_value = math.inf
         self._counters = {
             "gp_fits": 0,
             "arp_fits": 0,
             "bandit_selects": 0,
             "bandit_updates": 0,
-            "imputed_values": 0,
         }
 
     # -- read-only views ---------------------------------------------------
@@ -241,6 +229,7 @@ class Optimizer:
     def diagnostics(self) -> dict[str, Any]:
         """Counters and region geometry, for tests and instrumentation."""
         out = dict(self._counters)
+        out["imputed_values"] = sum(ob.warned for ob in self._history)
         out["iterations"] = len(self._history) // self.config.batch_size
         out["observations"] = len(self._history)
         out["restarts"] = self._tr.restarts
@@ -256,9 +245,8 @@ class Optimizer:
         """
         if not self._history:
             raise EmptyHistoryError("no observations yet")
-        if self._best_point is None:
-            return dict(self._history[0].point), self._best_value
-        return dict(self._best_point), self._best_value
+        ob = min(self._history, key=lambda o: o.value)
+        return dict(ob.point), ob.value
 
     # -- ask ---------------------------------------------------------------
 
@@ -282,8 +270,7 @@ class Optimizer:
             batch = self._model_batch()
         points = [self.space.unwarp(w) for w in batch]
         warped = np.array([self.space.warp(p) for p in points])
-        arms = [_arm_indices(self.space, p) for p in points]
-        self._pending = _Pending(points=points, warped=warped, arms=arms)
+        self._pending = _Pending(points=points, warped=warped)
         return [dict(p) for p in points]
 
     def _next_init_batch(self) -> np.ndarray:
@@ -393,7 +380,6 @@ class Optimizer:
             raise ProtocolError(f"observed values must be numbers: {exc}") from exc
         warned = [not math.isfinite(v) for v in floats]
         imputed = [math.inf if w else v for v, w in zip(floats, warned)]
-        self._counters["imputed_values"] += sum(warned)
         if any(warned):
             warnings.warn(
                 f"{sum(warned)} of {len(values)} observed values were not finite; "
@@ -402,17 +388,15 @@ class Optimizer:
                 stacklevel=2,
             )
 
-        pre_best = self._best_value
-        flags = [v < pre_best for v in imputed]
+        if self.config.enable_bandit and self._bandit is not None:
+            pre_best = min((ob.value for ob in self._history), default=math.inf)
+            quals = self.space.qualitative_params
+            arms = [{p.name: p.choices.index(point[p.name]) for p in quals} for point in pend.points]
+            bandit_mod.update_rewards(self._bandit, arms, [v < pre_best for v in imputed])
+            self._counters["bandit_updates"] += 1
+
         for point, w, v, warn in zip(pend.points, pend.warped, imputed, warned):
             self._history.append(Observation(point=dict(point), warped=w.copy(), value=v, warned=warn))
-            if v < self._best_value:
-                self._best_value = v
-                self._best_point = dict(point)
-
-        if self.config.enable_bandit and self._bandit is not None:
-            bandit_mod.update_rewards(self._bandit, pend.arms, flags)
-            self._counters["bandit_updates"] += 1
 
         bidx = int(np.argmin(imputed))
         self._tr = turbo_mod.update_region(

@@ -1,13 +1,17 @@
-"""Mixed search spaces and the bijective warp onto the unit cube.
+"""Mixed search spaces and the warp onto the unit cube.
 
 A search space is an ordered list of parameter specifications. Four kinds
 are supported: real, integer, boolean, and categorical. The optimizer
 works internally on numeric vectors in [0, 1]^D with one coordinate per
 parameter: real and integer coordinates are placed by affine or log-ratio
-scaling, boolean maps false to 0 and true to 1, and a categorical with K
-labels puts label k at k/(K-1). Integer, boolean, and categorical
-coordinates therefore live on a lattice inside the cube; ``unwarp`` rounds
-to the nearest lattice value with ties toward the lower one.
+scaling, and a qualitative parameter with K ``choices`` (``(False,
+True)`` for a boolean, the labels for a categorical) puts choice k at
+k/(K-1); arm k of its bandit is ``choices[k]``. Integer, boolean, and
+categorical coordinates therefore live on a lattice inside the cube;
+``unwarp`` rounds to the nearest lattice value with ties toward the lower
+one. The warp is exact on the lattice: ``unwarp(warp(p))`` gives back
+every integer and qualitative value, while a real value comes back
+within floating-point rounding (a few ulps), not always bit for bit.
 
 Dimensions are grouped into three blocks by kind: real dims form the
 x-block, integer dims the y-block, boolean and categorical dims the
@@ -137,13 +141,18 @@ class ParamSpec:
         return self.kind in ("boolean", "categorical")
 
     @property
+    def choices(self) -> tuple:
+        """Values of a qualitative parameter in arm order: ``(False, True)`` or the categories."""
+        if self.kind == "boolean":
+            return (False, True)
+        if self.kind == "categorical":
+            return self.categories  # type: ignore[return-value]
+        raise ValidationError(f"parameter {self.name!r} is not qualitative")
+
+    @property
     def n_arms(self) -> int:
         """Number of bandit arms (qualitative parameters only)."""
-        if self.kind == "boolean":
-            return 2
-        if self.kind == "categorical":
-            return len(self.categories)  # type: ignore[arg-type]
-        raise ValidationError(f"parameter {self.name!r} is not qualitative")
+        return len(self.choices)
 
     def validate_value(self, value: Any) -> None:
         """Raise ValidationError unless value is admissible for this parameter."""
@@ -166,23 +175,17 @@ class ParamSpec:
                 raise ValidationError(
                     f"parameter {self.name!r}: value {value!r} outside [{self.lo}, {self.hi}]"
                 )
-        elif self.kind == "boolean":
-            if not isinstance(value, bool):
-                raise ValidationError(f"parameter {self.name!r}: expected a boolean, got {value!r}")
-        else:
-            if value not in self.categories:  # type: ignore[operator]
-                raise ValidationError(
-                    f"parameter {self.name!r}: {value!r} is not one of {list(self.categories)}"
-                )
+        elif self.kind == "boolean" and not isinstance(value, bool):
+            # 1 and 0.0 equal True and False, so membership alone admits them
+            raise ValidationError(f"parameter {self.name!r}: expected a boolean, got {value!r}")
+        elif value not in self.choices:
+            raise ValidationError(f"parameter {self.name!r}: {value!r} is not one of {list(self.choices)}")
 
     def warp_value(self, value: Any) -> float:
         """Map an admissible raw value to its coordinate in [0, 1]."""
         self.validate_value(value)
-        if self.kind == "boolean":
-            return 1.0 if value else 0.0
-        if self.kind == "categorical":
-            idx = self.categories.index(value)  # type: ignore[union-attr]
-            return idx / (self.n_arms - 1)
+        if self.is_qualitative:
+            return self.choices.index(value) / (self.n_arms - 1)
         if self.scale == "log":
             return math.log(value / self.lo) / math.log(self.hi / self.lo)
         return (float(value) - self.lo) / (self.hi - self.lo)
@@ -195,11 +198,8 @@ class ParamSpec:
         """
         if not (0.0 <= coord <= 1.0):
             raise ValidationError(f"parameter {self.name!r}: coordinate {coord} outside [0, 1]")
-        if self.kind == "boolean":
-            return _round_half_down(coord) == 1
-        if self.kind == "categorical":
-            idx = _round_half_down(coord * (self.n_arms - 1))
-            return self.categories[idx]  # type: ignore[index]
+        if self.is_qualitative:
+            return self.choices[_round_half_down(coord * (self.n_arms - 1))]
         if self.scale == "log":
             raw = self.lo * math.exp(coord * math.log(self.hi / self.lo))
         else:
@@ -240,11 +240,10 @@ class SearchSpace:
             raise ValidationError("parameter names must be unique")
         self._params = params
         self._index = {p.name: i for i, p in enumerate(params)}
-        kinds = [p.kind for p in params]
         self._blocks = Blocks(
-            x=np.array([i for i, k in enumerate(kinds) if k == "real"], dtype=np.intp),
-            y=np.array([i for i, k in enumerate(kinds) if k == "integer"], dtype=np.intp),
-            z=np.array([i for i, k in enumerate(kinds) if k in ("boolean", "categorical")], dtype=np.intp),
+            x=np.array([i for i, p in enumerate(params) if p.kind == "real"], dtype=np.intp),
+            y=np.array([i for i, p in enumerate(params) if p.kind == "integer"], dtype=np.intp),
+            z=np.array([i for i, p in enumerate(params) if p.is_qualitative], dtype=np.intp),
         )
 
     @property
@@ -307,18 +306,17 @@ class SearchSpace:
     def snap(self, coords: np.ndarray) -> np.ndarray:
         """Project warped vectors onto the representable lattice.
 
-        Equivalent to ``warp(unwarp(w))`` row by row but vectorized; rows
-        are snapped to the exact coordinates of the points they would
-        evaluate as. Real linear coordinates pass through unchanged.
+        Vectorized over rows: integer, boolean and categorical coordinates
+        equal ``warp(unwarp(w))``, the exact coordinates of the values
+        they would evaluate as, and real coordinates of both scales pass
+        through unchanged.
         """
         w = np.atleast_2d(np.asarray(coords, dtype=float)).copy()
         if w.shape[1] != self.dim:
             raise ValidationError(f"expected {self.dim} columns, got {w.shape[1]}")
         for i, p in enumerate(self._params):
             col = w[:, i]
-            if p.kind == "boolean":
-                w[:, i] = np.ceil(col - 0.5).clip(0, 1)
-            elif p.kind == "categorical":
+            if p.is_qualitative:
                 k = p.n_arms - 1
                 w[:, i] = np.ceil(col * k - 0.5).clip(0, k) / k
             elif p.kind == "integer":

@@ -81,7 +81,8 @@ SQRT5 = math.sqrt(5.0)
 #: Floor applied to the target standard deviation before standardizing.
 STD_FLOOR = 1e-8
 
-#: Fallbacks used when a fit is skipped and as the first search start.
+#: The first search start of every fit; the variances are also
+#: ``KernelParams``' defaults.
 DEFAULT_LENGTHSCALE = 0.5
 DEFAULT_SIGNAL_VARIANCE = 1.0
 DEFAULT_NOISE_VARIANCE = 1e-3

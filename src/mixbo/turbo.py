@@ -79,36 +79,29 @@ class TrustRegionConfig:
 
 @dataclass(frozen=True)
 class TrustRegionState:
-    """Adaptation state. success_count and failure_count are never both positive."""
+    """Adaptation state. success_count and failure_count are never both positive.
 
-    center: np.ndarray | None
-    length: float
-    success_count: int
-    failure_count: int
-    best_value: float
-    restarts: int
+    The defaults are the fresh state: no center, the initial length, no
+    runs and no incumbent.
+    """
+
+    center: np.ndarray | None = None
+    length: float = _LENGTH_INIT
+    success_count: int = 0
+    failure_count: int = 0
+    best_value: float = math.inf
+    restarts: int = 0
 
 
 def new_state() -> TrustRegionState:
     """Fresh state with no center and no incumbent."""
-    return TrustRegionState(
-        center=None,
-        length=_LENGTH_INIT,
-        success_count=0,
-        failure_count=0,
-        best_value=math.inf,
-        restarts=0,
-    )
+    return TrustRegionState()
 
 
 def restarted(state: TrustRegionState, center: np.ndarray | None) -> TrustRegionState:
     """Reset geometry and incumbent at a new center, bumping the restart count."""
     return TrustRegionState(
         center=None if center is None else np.asarray(center, dtype=float).copy(),
-        length=_LENGTH_INIT,
-        success_count=0,
-        failure_count=0,
-        best_value=math.inf,
         restarts=state.restarts + 1,
     )
 
@@ -179,13 +172,10 @@ def region_bounds(
         raise ValueError("region has no center yet")
     center = np.asarray(state.center, dtype=float)
     d = center.shape[0]
-    if lengthscales is None:
-        weights = np.ones(d)
-    else:
-        ls = np.asarray(lengthscales, dtype=float)
-        if ls.shape != (d,):
-            raise ValueError(f"expected {d} lengthscales, got shape {ls.shape}")
-        weights = ls / math.exp(float(np.mean(np.log(ls))))
+    ls = np.ones(d) if lengthscales is None else np.asarray(lengthscales, dtype=float)
+    if ls.shape != (d,):
+        raise ValueError(f"expected {d} lengthscales, got shape {ls.shape}")
+    weights = ls / math.exp(float(np.mean(np.log(ls))))
     side = np.minimum(state.length * weights, 1.0)
     lo = np.clip(center - side / 2.0, 0.0, 1.0)
     hi = np.clip(center + side / 2.0, 0.0, 1.0)

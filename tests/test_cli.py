@@ -400,8 +400,11 @@ def test_usage_errors_exit_two(tmp_path):
         assert main(["bench", "--out", str(out), *bad]) == 2
     assert not out.exists()
     run = ["run", "--space", str(tmp_path / "nope.json"), "--cmd", "true"]
-    for bad in (["--seed", "-1"], ["--timeout", "-1"], ["--timeout", "0"], ["--timeout", "nan"]):
+    for bad in (["--seed", "-1"], ["--timeout", "-1"], ["--timeout", "0"], ["--timeout", "nan"],
+                ["--timeout", "2200000"], ["--timeout", "1e10"]):
         assert main([*run, *bad]) == 2
+    # the longest timeout is accepted and the missing space file is reported
+    assert main([*run, "--timeout", "1000000"]) == 1
 
 
 def test_missing_files_exit_one(tmp_path):

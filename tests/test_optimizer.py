@@ -199,6 +199,20 @@ def test_best_requires_history():
         opt.best()
 
 
+def test_best_is_the_earliest_tied_point_or_the_first_when_all_failed():
+    opt = Optimizer(small_space(), OptimizerConfig(batch_size=4, seed=0))
+    first = opt.suggest()
+    with pytest.warns(RuntimeWarning):
+        opt.observe(first, [math.nan, math.inf, -math.inf, math.nan])
+    assert opt.best() == (first[0], math.inf)
+    second = opt.suggest()
+    opt.observe(second, [2.0, 1.0, 1.0, 3.0])
+    third = opt.suggest()
+    opt.observe(third, [1.0, 1.0, 5.0, 5.0])
+    assert second[1] != second[2] and second[1] not in third
+    assert opt.best() == (second[1], 1.0)
+
+
 def test_suggested_points_are_valid_and_snapped():
     space = small_space()
     opt = Optimizer(space, OptimizerConfig(batch_size=8, seed=1))

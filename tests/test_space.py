@@ -1,6 +1,7 @@
 """Tests for parameter specs, search spaces, and the warp transforms."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -80,6 +81,14 @@ def test_arm_counts():
     assert ParamSpec("c", "categorical", categories=("a", "b", "c")).n_arms == 3
     assert ParamSpec("b", "boolean").is_qualitative
     assert not ParamSpec("x", "real", lo=0.0, hi=1.0).is_qualitative
+
+
+def test_choices_are_the_values_in_arm_order():
+    assert ParamSpec("b", "boolean").choices == (False, True)
+    assert ParamSpec("c", "categorical", categories=("x", "y")).choices == ("x", "y")
+    for p in (ParamSpec("x", "real", lo=0.0, hi=1.0), ParamSpec("n", "integer", lo=0, hi=4)):
+        with pytest.raises(ValidationError):
+            p.n_arms
 
 
 # --- warp / unwarp ----------------------------------------------------
@@ -229,16 +238,22 @@ def test_warp_checks_each_value_once_and_raises_what_validate_raises(monkeypatch
 
 
 def test_warp_unwarp_round_trip_on_random_points():
-    sp = mixed_space()
+    # exact on the lattice, and on xr, whose bounds -1 and 3 make the
+    # affine map exact; other reals come back within a few ulps
+    sp = SearchSpace([*mixed_space().params, ParamSpec("xs", "real", lo=0.1, hi=7.3)])
+    exact = ("xr", "ni", "nl", "b", "c")
     rng = np.random.default_rng(42)
-    for _ in range(50):
+    for _ in range(2000):
         pt = sp.random_point(rng)
         sp.validate(pt)
         w = sp.warp(pt)
         assert w.shape == (sp.dim,)
         assert np.all(w >= 0.0) and np.all(w <= 1.0)
         back = sp.unwarp(w)
-        assert back == pt
+        assert set(back) == set(pt)
+        assert [back[k] for k in exact] == [pt[k] for k in exact]
+        for k in ("xl", "xs"):
+            assert math.isclose(back[k], pt[k], rel_tol=1e-12)
 
 
 def test_snap_projects_to_lattice_and_is_idempotent():
@@ -256,6 +271,15 @@ def test_snap_projects_to_lattice_and_is_idempotent():
     # single-row call keeps single-row shape
     one = sp.snap(raw[0])
     assert one.shape == (sp.dim,)
+
+
+def test_snap_codes_a_boolean_as_a_two_label_categorical():
+    rng = np.random.default_rng(5)
+    cols = np.concatenate([rng.random(500), [0.0, 0.25, 0.5, 0.75, 1.0]])[:, None]
+    as_bool = SearchSpace([ParamSpec("b", "boolean")]).snap(cols)
+    as_cat = SearchSpace([ParamSpec("c", "categorical", categories=("n", "y"))]).snap(cols)
+    assert as_bool.tobytes() == as_cat.tobytes()
+    assert as_bool[-3, 0] == 0.0  # exactly 0.5 rounds toward the lower arm
 
 
 def test_random_point_is_valid_and_deterministic():

@@ -1,5 +1,7 @@
 """Tests for the trust-region state machine and the Sobol generator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import qmc
@@ -237,6 +239,30 @@ def test_restart_threshold_at_length_min():
     assert fresh.best_value == np.inf
     assert fresh.success_count == 0 and fresh.failure_count == 0
     np.testing.assert_array_equal(fresh.center, [0.9, 0.1])
+
+
+def assert_same_state(got, want):
+    for f in dataclasses.fields(TrustRegionState):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert np.array_equal(a, b) if f.name == "center" else a == b, f.name
+
+
+def test_fresh_and_restarted_states_are_the_field_defaults():
+    assert_same_state(TrustRegionState(), new_state())
+    st = update_region(new_state(), 1.0, np.array([0.2, 0.4]), BATCH)
+    st = dataclasses.replace(st, restarts=2, length=0.05)
+    center = np.array([0.9, 0.1])
+    fresh = restarted(st, center)
+    assert_same_state(fresh, TrustRegionState(center=center, restarts=3))
+    center[0] = 0.0  # the restarted state holds its own copy
+    assert fresh.center[0] == 0.9
+
+
+def test_unweighted_sides_are_exactly_the_length():
+    st = TrustRegionState(center=np.array([0.3, 0.5, 0.9]), length=0.35)
+    lo, hi = region_bounds(st)
+    np.testing.assert_array_equal(lo, np.clip(st.center - 0.175, 0.0, 1.0))
+    np.testing.assert_array_equal(hi, np.clip(st.center + 0.175, 0.0, 1.0))
 
 
 def test_region_bounds_weighting():
