@@ -45,6 +45,7 @@ print("posterior means for optimizer arms:",
 late = [ts_select(state, rng)["optimizer"] for _ in range(12)]
 print("late picks (locked on arm 1):", late)
 
-# Within the full optimizer, these selections overwrite the qualitative
-# coordinates of every GP-proposed candidate, so the numeric search and
-# the categorical search stay decoupled.
+# Within the full optimizer, the selections come first: batch points with
+# equal selections form a group, the group's arms are written into the
+# qualitative coordinates of its own share of the GP candidates, and the
+# Thompson draw picks the numeric values for exactly those arms.

@@ -125,13 +125,22 @@ def overwrite_qualitative(
         return cand
     if len(selections) != cand.shape[0]:
         raise ValueError("need exactly one selection map per candidate")
-    out = cand.copy()
+    # a batch repeats a few selection maps, so each map is checked and
+    # coded once, and each qualitative column is written in one pass
+    coded: dict[int, list[float]] = {}
+    rows = []
     for row, sel in enumerate(selections):
-        for p in quals:
-            if p.name not in sel:
-                raise ValueError(f"selection for point {row} is missing variable {p.name!r}")
-            k = sel[p.name]
-            if not 0 <= k < p.n_arms:
-                raise ValueError(f"arm {k} out of range for variable {p.name!r}")
-            out[row, space.index(p.name)] = k / (p.n_arms - 1)
+        if id(sel) not in coded:
+            for p in quals:
+                if p.name not in sel:
+                    raise ValueError(f"selection for point {row} is missing variable {p.name!r}")
+                k = sel[p.name]
+                if not 0 <= k < p.n_arms:
+                    raise ValueError(f"arm {k} out of range for variable {p.name!r}")
+            coded[id(sel)] = [sel[p.name] / (p.n_arms - 1) for p in quals]
+        rows.append(coded[id(sel)])
+    codes = np.array(rows, dtype=float).reshape(-1, len(quals))
+    out = cand.copy()
+    for j, p in enumerate(quals):
+        out[:, space.index(p.name)] = codes[:, j]
     return out

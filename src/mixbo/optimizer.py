@@ -5,10 +5,15 @@ returns a batch of points, and :meth:`Optimizer.observe`, which takes
 their objective values. Early batches come from a scrambled Sobol design
 over the whole cube. Once the design is exhausted, each batch is chosen
 by fitting the surrogate to all history, generating Sobol candidates
-inside the trust region, discarding candidates outside the learned good
-region, and taking the per-draw minima of joint posterior samples
-(Thompson sampling on the surrogate). Qualitative coordinates of the
-chosen batch are then overwritten by the per-variable bandits.
+inside the trust region, and taking the per-draw minima of joint
+posterior samples (Thompson sampling on the surrogate) over the
+candidates inside the learned good region. With the bandits on, the
+per-variable bandits pick each batch point's qualitative values first:
+batch points with equal picks form a group, and each group draws over
+its own random share of the candidates, with its picks written into
+their qualitative coordinates before the region filter sees them.
+Without bandits, or without qualitative variables, one draw covers
+every candidate.
 
 Every observed batch updates the trust region. When the region collapses
 below its minimum length the optimizer restarts it: the next batch is a
@@ -307,17 +312,47 @@ class Optimizer:
         # Score candidates as the points they would actually evaluate to.
         cands = space.snap(cands)
 
+        classifier = None
         if cfg.enable_arp and len(self._history) >= max(16, 2 * space.dim):
             try:
                 labels = arp_mod.label_observations(y)
             except DegenerateValuesError:
                 pass  # a flat history carries no region signal this round
             else:
-                self._classifier = arp_mod.fit_classifier(X, labels)
+                classifier = self._classifier = arp_mod.fit_classifier(X, labels)
                 self._counters["arp_fits"] += 1
-                cands = arp_mod.filter_candidates(self._classifier, cands)
 
-        draws = gp_sample(model, cands, self._rng, count=cfg.batch_size)
+        b = cfg.batch_size
+        if not (cfg.enable_bandit and self._bandit is not None):
+            return self._thompson_picks(model, classifier, cands, b)
+        # The bandits pick the qualitative values first (CoCaBO's order);
+        # batch positions with equal selections form a group, in order of
+        # first appearance. A group of k positions draws k times over a
+        # sorted random k/b share of the candidates (at least 16 per draw)
+        # with its arms written in, so the draws factor several small
+        # matrices instead of one q x q one.
+        selections = [bandit_mod.ts_select(self._bandit, self._rng) for _ in range(b)]
+        self._counters["bandit_selects"] += b
+        groups: dict[tuple, list[int]] = {}
+        for pos, sel in enumerate(selections):
+            groups.setdefault(tuple(sel.values()), []).append(pos)
+        q = cands.shape[0]
+        batch = np.empty((b, space.dim))
+        for positions in groups.values():
+            k = len(positions)
+            m = min(q, max(16 * k, q * k // b))
+            rows = cands[np.sort(self._rng.choice(q, m, replace=False))] if m < q else cands
+            share = bandit_mod.overwrite_qualitative(rows, [selections[positions[0]]] * m, space)
+            batch[positions] = self._thompson_picks(model, classifier, share, k)
+        return batch
+
+    def _thompson_picks(
+        self, model: GpModel, classifier: RegionClassifier | None, cands: np.ndarray, count: int
+    ) -> np.ndarray:
+        """The argmins of ``count`` joint draws over the candidates ARP keeps, distinct while they last."""
+        if classifier is not None:
+            cands = arp_mod.filter_candidates(classifier, cands)
+        draws = gp_sample(model, cands, self._rng, count=count)
         chosen: list[int] = []
         used: set[int] = set()
         for row in draws:
@@ -329,13 +364,7 @@ class Optimizer:
                     break
             used.add(pick)
             chosen.append(pick)
-        batch = cands[chosen]
-
-        if cfg.enable_bandit and self._bandit is not None:
-            selections = [bandit_mod.ts_select(self._bandit, self._rng) for _ in range(cfg.batch_size)]
-            self._counters["bandit_selects"] += cfg.batch_size
-            batch = bandit_mod.overwrite_qualitative(batch, selections, space)
-        return batch
+        return cands[chosen]
 
     # -- tell ----------------------------------------------------------------
 

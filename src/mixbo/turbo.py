@@ -307,8 +307,9 @@ def generate_candidates(
         Supplies the scramble seed and the perturbation mask.
     config : TrustRegionConfig
         Its ``n_candidates``, or ``min(100 * D, 2048)`` when None, is
-        the number of candidates: at most 2048 by default, so that the
-        Thompson draw over them is an exact float64 factorization.
+        the number of candidates: at most 2048 by default, so that a
+        Thompson draw over all of them, or over a bandit group's share,
+        is an exact float64 factorization.
 
     Returns
     -------

@@ -460,6 +460,7 @@ def test_criterion_08_ablation_report_structure(ablation_run, capsys):
     trend = "monotone" if all(x <= y + 1e-9 for x, y in zip(steps, steps[1:])) else "mixed"
     with capsys.disabled():
         print(f"    ablation ladder ({trend}, reported not asserted): {ladder}")
+        print("    tuning reproduces baseline: at the default budget no region reaches its restart floor")
 
 
 # --- criterion 9: determinism ------------------------------------------------

@@ -280,9 +280,13 @@ def test_bench_subcommand_writes_reports(tmp_path, capsys):
     assert (tmp_path / "traces.csv").read_text().startswith("objective,")
 
 
-def test_bench_rejects_unknown_names(tmp_path):
+def test_bench_rejects_unknown_names(tmp_path, capsys):
     assert main(["bench", "--objective", "nope", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown objective 'nope'; known: ") and not err.rstrip().endswith('"')
     assert main(["bench", "--arm", "nope", "--seeds", "1", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown arms: ['nope']; known: ") and not err.rstrip().endswith('"')
 
 
 # --- run subcommand ----------------------------------------------------------

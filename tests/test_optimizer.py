@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 import mixbo
+from mixbo import arp
+from mixbo import bandit as bandit_mod
+from mixbo import optimizer as optimizer_mod
 from mixbo import surrogate
 from mixbo.bench import get_objective
 from mixbo.optimizer import (
@@ -258,14 +261,14 @@ def test_runs_are_deterministic_for_a_seed():
 
 
 def test_runs_are_deterministic_for_a_seed_over_3000_candidates(monkeypatch):
-    # a caller may set more candidates than the default's 2048; model
-    # rounds factor all of them in float64 and give the same bits for
-    # the same inputs
+    # a caller may set more candidates than the default's 2048; with the
+    # bandits off, model rounds factor all of them in float64 and give
+    # the same bits for the same inputs
     factored = []
     dpotrf = surrogate.dpotrf
     monkeypatch.setattr(surrogate, "dpotrf", lambda a, **kw: factored.append(a.shape) or dpotrf(a, **kw))
     space = small_space()
-    cfg = OptimizerConfig(batch_size=4, seed=11, turbo=TrustRegionConfig(n_candidates=3000))
+    cfg = OptimizerConfig(batch_size=4, seed=11, turbo=TrustRegionConfig(n_candidates=3000), enable_bandit=False)
     a, b = Optimizer(space, cfg), Optimizer(space, cfg)
     for _ in range(5):
         pa, pb = a.suggest(), b.suggest()
@@ -275,6 +278,138 @@ def test_runs_are_deterministic_for_a_seed_over_3000_candidates(monkeypatch):
         b.observe(pb, vals)
     assert (3000, 3000) in factored
     assert a.best() == b.best()
+
+
+def test_runs_are_deterministic_for_a_seed_over_3000_candidates_with_bandits(monkeypatch):
+    # with the bandits on, each group of equal selections draws over its
+    # share of the 3000 candidates, and gives the same bits too
+    factored, draws = [], []
+    dpotrf, gp_sample = surrogate.dpotrf, optimizer_mod.gp_sample
+    monkeypatch.setattr(surrogate, "dpotrf", lambda a, **kw: factored.append(a.shape) or dpotrf(a, **kw))
+
+    def traced(model, queries, rng, count=1):
+        start = len(factored)
+        out = gp_sample(model, queries, rng, count=count)
+        draws.append((count, factored[start:]))
+        return out
+
+    monkeypatch.setattr(optimizer_mod, "gp_sample", traced)
+    space = small_space()
+    cfg = OptimizerConfig(batch_size=4, seed=11, turbo=TrustRegionConfig(n_candidates=3000))
+    a, b = Optimizer(space, cfg), Optimizer(space, cfg)
+    for _ in range(5):
+        pa, pb = a.suggest(), b.suggest()
+        assert pa == pb
+        vals = [bowl(p) for p in pa]
+        a.observe(pa, vals)
+        b.observe(pb, vals)
+    assert a.best() == b.best()
+    assert draws
+    for count, shapes in draws:
+        share = min(3000, max(16 * count, 3000 * count // 4))
+        assert shapes and all(r == c <= share for r, c in shapes)
+
+
+def record_model_draws(monkeypatch):
+    """Record the selections, the ARP filter inputs and the Thompson draws of every suggest."""
+    rounds = []
+    ts_select, gp_sample, filter_candidates = bandit_mod.ts_select, optimizer_mod.gp_sample, arp.filter_candidates
+
+    def select(state, rng):
+        sel = ts_select(state, rng)
+        rounds[-1]["selections"].append(sel)
+        return sel
+
+    def sample(model, queries, rng, count=1):
+        rounds[-1]["draws"].append((np.array(queries), count))
+        return gp_sample(model, queries, rng, count=count)
+
+    def keep(classifier, candidates):
+        rounds[-1]["filtered"].append(np.array(candidates))
+        return filter_candidates(classifier, candidates)
+
+    monkeypatch.setattr(bandit_mod, "ts_select", select)
+    monkeypatch.setattr(optimizer_mod, "gp_sample", sample)
+    monkeypatch.setattr(arp, "filter_candidates", keep)
+    return rounds
+
+
+def mixed_space():
+    return SearchSpace(
+        [
+            ParamSpec("x", "real", lo=0.0, hi=1.0),
+            ParamSpec("n", "integer", lo=0, hi=4),
+            ParamSpec("m", "categorical", categories=("a", "b", "c")),
+            ParamSpec("f", "boolean"),
+        ]
+    )
+
+
+def mixed_bowl(pt):
+    return (pt["x"] - 0.6) ** 2 + 0.05 * abs(pt["n"] - 2) + {"a": 0.5, "b": 0.0, "c": 1.0}[pt["m"]] + 0.3 * pt["f"]
+
+
+def test_bandit_arms_are_picked_before_the_thompson_draw(monkeypatch):
+    rounds = record_model_draws(monkeypatch)
+    space = mixed_space()
+    quals = space.qualitative_params
+    cols = [space.index(p.name) for p in quals]
+    q, b = 400, 4
+    cfg = OptimizerConfig(batch_size=b, seed=2, init_points=4, turbo=TrustRegionConfig(n_candidates=q))
+    opt = Optimizer(space, cfg)
+    model_rounds = filtered = 0
+    for _ in range(8):
+        rounds.append({"n": len(opt.history), "selections": [], "draws": [], "filtered": []})
+        pts = opt.suggest()
+        opt.observe(pts, [mixed_bowl(p) for p in pts])
+        r = rounds[-1]
+        if not r["draws"]:
+            continue
+        model_rounds += 1
+        # the region filter sees the arms each group will evaluate
+        for cands in r["filtered"]:
+            assert np.all(cands[:, cols] == cands[0, cols])
+        filtered += len(r["filtered"])
+        sels = r["selections"]
+        assert len(sels) == b
+        # each batch position evaluates the arms selected for it
+        for p, sel in zip(pts, sels):
+            assert all(p[qp.name] == qp.choices[sel[qp.name]] for qp in quals)
+        assert sum(count for _, count in r["draws"]) == b
+        for queries, count in r["draws"]:
+            # one selection's arms in every query, drawn once per position holding it
+            codes = queries[:, cols]
+            assert np.all(codes == codes[0])
+            sel = {qp.name: round(c * (qp.n_arms - 1)) for qp, c in zip(quals, codes[0])}
+            assert sels.count(sel) == count
+            if r["n"] < max(16, 2 * space.dim):  # before ARP filters
+                assert queries.shape[0] == max(16 * count, q * count // b)
+    assert model_rounds >= 4 and filtered > 0
+
+
+def test_without_bandits_one_draw_covers_every_candidate(monkeypatch):
+    rounds = record_model_draws(monkeypatch)
+    space = mixed_space()
+    q, b = 400, 4
+    cfg = OptimizerConfig(
+        batch_size=b, seed=2, init_points=4, turbo=TrustRegionConfig(n_candidates=q), enable_bandit=False
+    )
+    opt = Optimizer(space, cfg)
+    model_rounds = 0
+    for _ in range(8):
+        rounds.append({"n": len(opt.history), "selections": [], "draws": [], "filtered": []})
+        pts = opt.suggest()
+        opt.observe(pts, [mixed_bowl(p) for p in pts])
+        r = rounds[-1]
+        assert r["selections"] == []
+        if not r["draws"]:
+            continue
+        model_rounds += 1
+        [(queries, count)] = r["draws"]
+        assert count == b
+        if r["n"] < max(16, 2 * space.dim):
+            assert queries.shape[0] == q
+    assert model_rounds >= 4
 
 
 def test_different_seeds_diverge():
