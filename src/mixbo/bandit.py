@@ -98,49 +98,33 @@ def update_rewards(
 
 def overwrite_qualitative(
     candidates: np.ndarray,
-    selections: list[dict[str, int]],
+    selection: dict[str, int],
     space: SearchSpace,
 ) -> np.ndarray:
-    """Force bandit-selected arms onto a batch of warped points.
+    """Force one bandit selection onto every point of a warped batch.
 
     Parameters
     ----------
     candidates : ndarray, shape (B, D)
         Warped batch; not modified.
-    selections : list of dict, length B
-        Arm index per qualitative variable per point. Every qualitative
-        variable of the space must be present in every map.
+    selection : dict
+        Arm index per qualitative variable. Every qualitative variable
+        of the space must be present.
     space : SearchSpace
 
     Returns
     -------
     ndarray, shape (B, D)
-        Copy with each qualitative coordinate replaced by the warped
-        value of the selected arm. Spaces without qualitative variables
+        Always a copy, with each qualitative column set to the warped
+        value of its selected arm. Spaces without qualitative variables
         come back unchanged.
     """
-    quals = space.qualitative_params
-    cand = np.atleast_2d(np.asarray(candidates, dtype=float))
-    if not quals:
-        return cand
-    if len(selections) != cand.shape[0]:
-        raise ValueError("need exactly one selection map per candidate")
-    # a batch repeats a few selection maps, so each map is checked and
-    # coded once, and each qualitative column is written in one pass
-    coded: dict[int, list[float]] = {}
-    rows = []
-    for row, sel in enumerate(selections):
-        if id(sel) not in coded:
-            for p in quals:
-                if p.name not in sel:
-                    raise ValueError(f"selection for point {row} is missing variable {p.name!r}")
-                k = sel[p.name]
-                if not 0 <= k < p.n_arms:
-                    raise ValueError(f"arm {k} out of range for variable {p.name!r}")
-            coded[id(sel)] = [sel[p.name] / (p.n_arms - 1) for p in quals]
-        rows.append(coded[id(sel)])
-    codes = np.array(rows, dtype=float).reshape(-1, len(quals))
-    out = cand.copy()
-    for j, p in enumerate(quals):
-        out[:, space.index(p.name)] = codes[:, j]
+    out = np.array(candidates, dtype=float, ndmin=2)
+    for p in space.qualitative_params:
+        if p.name not in selection:
+            raise ValueError(f"selection is missing variable {p.name!r}")
+        k = selection[p.name]
+        if not 0 <= k < p.n_arms:
+            raise ValueError(f"arm {k} out of range for variable {p.name!r}")
+        out[:, space.index(p.name)] = k / (p.n_arms - 1)
     return out

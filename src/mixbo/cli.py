@@ -42,7 +42,7 @@ from .bench import ARMS, RANDOM_ARM, builtin_objectives, get_objective
 from .optimizer import ConfigError, Optimizer, OptimizerConfig, ProtocolError, config_from_dict
 from .space import SearchSpace, ValidationError, space_from_dict
 
-MESSAGE_KINDS = ("hello", "suggest_request", "suggestions", "observe", "ack", "best", "error")
+_REQUEST_KINDS = ("hello", "suggest_request", "observe", "best")
 
 
 def write_message(stream: IO[str], kind: str, **fields) -> None:
@@ -106,9 +106,10 @@ def serve(
                         outstream, "error", message='hello needs a "space" document'
                     )
                     continue
-                cdoc = msg.get("config", config_doc) or {}
+                # only a missing or null config means the defaults
+                cdoc = msg.get("config", config_doc)
                 space = space_from_dict(sdoc)
-                config = config_from_dict(cdoc)
+                config = config_from_dict({} if cdoc is None else cdoc)
                 opt = Optimizer(space, config)
                 write_message(outstream, "ack", message="ready")
             elif kind == "suggest_request":
@@ -130,7 +131,7 @@ def serve(
                 write_message(
                     outstream,
                     "error",
-                    message=f"unknown kind {kind!r}; expected one of {list(MESSAGE_KINDS)}",
+                    message=f"unknown kind {kind!r}; expected one of {list(_REQUEST_KINDS)}",
                 )
         except Exception as exc:
             # any failure of one request, a MemoryError from a large

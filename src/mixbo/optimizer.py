@@ -7,13 +7,14 @@ over the whole cube. Once the design is exhausted, each batch is chosen
 by fitting the surrogate to all history, generating Sobol candidates
 inside the trust region, and taking the per-draw minima of joint
 posterior samples (Thompson sampling on the surrogate) over the
-candidates inside the learned good region. With the bandits on, the
-per-variable bandits pick each batch point's qualitative values first:
-batch points with equal picks form a group, and each group draws over
-its own random share of the candidates, with its picks written into
-their qualitative coordinates before the region filter sees them.
-Without bandits, or without qualitative variables, one draw covers
-every candidate.
+candidates inside the learned good region. One loop serves every batch:
+batch points with equal qualitative picks form a group, and each group
+draws over its own random share of the candidates, with its picks
+written into their qualitative coordinates before the region filter
+sees them. With the bandits on, the per-variable bandits make those
+picks first; without bandits, or without qualitative variables, there
+are no picks, so one group of the whole batch draws over every
+candidate.
 
 Every observed batch updates the trust region. When the region collapses
 below its minimum length the optimizer restarts it: the next batch is a
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -323,48 +325,39 @@ class Optimizer:
                 self._counters["arp_fits"] += 1
 
         b = cfg.batch_size
-        if not (cfg.enable_bandit and self._bandit is not None):
-            return self._thompson_picks(model, classifier, cands, b)
         # The bandits pick the qualitative values first (CoCaBO's order);
         # batch positions with equal selections form a group, in order of
-        # first appearance. A group of k positions draws k times over a
-        # sorted random k/b share of the candidates (at least 16 per draw)
-        # with its arms written in, so the draws factor several small
-        # matrices instead of one q x q one.
-        selections = [bandit_mod.ts_select(self._bandit, self._rng) for _ in range(b)]
-        self._counters["bandit_selects"] += b
-        groups: dict[tuple, list[int]] = {}
+        # first appearance. Without bandits every selection is None, so
+        # one group holds all b positions. A group of k positions draws
+        # k times over a sorted random k/b share of the candidates (at
+        # least 16 per draw, all q when k = b) with its arms written in,
+        # so the draws factor several small matrices instead of one q x q
+        # one, and keeps the argmins, distinct while they last.
+        if cfg.enable_bandit and self._bandit is not None:
+            selections = [bandit_mod.ts_select(self._bandit, self._rng) for _ in range(b)]
+            self._counters["bandit_selects"] += b
+        else:
+            selections = [None] * b
+        groups: dict[tuple | None, list[int]] = {}
         for pos, sel in enumerate(selections):
-            groups.setdefault(tuple(sel.values()), []).append(pos)
+            groups.setdefault(None if sel is None else tuple(sel.values()), []).append(pos)
         q = cands.shape[0]
         batch = np.empty((b, space.dim))
         for positions in groups.values():
             k = len(positions)
             m = min(q, max(16 * k, q * k // b))
-            rows = cands[np.sort(self._rng.choice(q, m, replace=False))] if m < q else cands
-            share = bandit_mod.overwrite_qualitative(rows, [selections[positions[0]]] * m, space)
-            batch[positions] = self._thompson_picks(model, classifier, share, k)
+            share = cands[np.sort(self._rng.choice(q, m, replace=False))] if m < q else cands
+            sel = selections[positions[0]]
+            if sel is not None:
+                share = bandit_mod.overwrite_qualitative(share, sel, space)
+            if classifier is not None:
+                share = arp_mod.filter_candidates(classifier, share)
+            chosen: list[int] = []
+            for row in gp_sample(model, share, self._rng, count=k):
+                order = np.argsort(row, kind="stable")
+                chosen.append(next((int(i) for i in order if int(i) not in chosen), int(order[0])))
+            batch[positions] = share[chosen]
         return batch
-
-    def _thompson_picks(
-        self, model: GpModel, classifier: RegionClassifier | None, cands: np.ndarray, count: int
-    ) -> np.ndarray:
-        """The argmins of ``count`` joint draws over the candidates ARP keeps, distinct while they last."""
-        if classifier is not None:
-            cands = arp_mod.filter_candidates(classifier, cands)
-        draws = gp_sample(model, cands, self._rng, count=count)
-        chosen: list[int] = []
-        used: set[int] = set()
-        for row in draws:
-            order = np.argsort(row, kind="stable")
-            pick = int(order[0])
-            for idx in order:
-                if int(idx) not in used:
-                    pick = int(idx)
-                    break
-            used.add(pick)
-            chosen.append(pick)
-        return cands[chosen]
 
     # -- tell ----------------------------------------------------------------
 
@@ -374,7 +367,8 @@ class Optimizer:
         Parameters
         ----------
         points : sequence of dict
-            Must equal the pending suggestion, same order.
+            Must equal the pending suggestion, same order; a point that
+            is not a mapping raises ProtocolError.
         values : sequence of float
             One value per point. NaN, +inf and -inf count as failed
             evaluations: each is recorded as +inf (so -inf never becomes
@@ -388,12 +382,12 @@ class Optimizer:
             raise ProtocolError("observe called with no pending suggestion")
         pend = self._pending
         if len(points) != len(pend.points):
-            raise ProtocolError(
-                f"expected {len(pend.points)} points, got {len(points)}"
-            )
+            raise ProtocolError(f"expected {len(pend.points)} points, got {len(points)}")
         if len(values) != len(pend.points):
             raise ProtocolError("points and values disagree on length")
         for given, expected in zip(points, pend.points):
+            if not isinstance(given, Mapping):
+                raise ProtocolError(f"observed points must be mappings, got {type(given).__name__}")
             if dict(given) != expected:
                 raise ProtocolError("observed points do not match the pending suggestion")
 

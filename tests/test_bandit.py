@@ -104,32 +104,35 @@ def test_overwrite_qualitative_writes_arm_codes():
     space = qual_space()
     rng = np.random.default_rng(5)
     cand = rng.random((6, 3))
-    sels = [{"flag": 1, "mode": 2}] * 5 + [{"flag": 0, "mode": 0}]
-    out = overwrite_qualitative(cand, sels, space)
+    before = cand.copy()
+    out = overwrite_qualitative(cand, {"flag": 1, "mode": 2}, space)
     assert out is not cand
+    np.testing.assert_array_equal(cand, before)  # input not modified
     np.testing.assert_array_equal(out[:, 0], cand[:, 0])  # real untouched
-    np.testing.assert_array_equal(out[:5, 1], np.ones(5))
-    np.testing.assert_array_equal(out[:5, 2], np.full(5, 2 / 3))
-    for row in out[:5]:
+    np.testing.assert_array_equal(out[:, 1], np.ones(6))
+    np.testing.assert_array_equal(out[:, 2], np.full(6, 2 / 3))
+    for row in out:
         pt = space.unwarp(row)
         assert pt["flag"] is True and pt["mode"] == "c"
-    last = space.unwarp(out[5])
-    assert last["flag"] is False and last["mode"] == "a"
+    for row in overwrite_qualitative(cand, {"flag": 0, "mode": 0}, space):
+        pt = space.unwarp(row)
+        assert pt["flag"] is False and pt["mode"] == "a"
 
 
 def test_overwrite_requires_complete_selection():
     space = qual_space()
     cand = np.random.default_rng(0).random((3, 3))
-    with pytest.raises(ValueError):
-        overwrite_qualitative(cand, [{"flag": 1, "mode": 0}] * 2, space)  # length
-    with pytest.raises(ValueError):
-        overwrite_qualitative(cand, [{"flag": 1}] * 3, space)  # missing var
-    with pytest.raises(ValueError):
-        overwrite_qualitative(cand, [{"flag": 1, "mode": 4}] * 3, space)  # range
+    with pytest.raises(ValueError, match="missing variable 'mode'"):
+        overwrite_qualitative(cand, {"flag": 1}, space)
+    with pytest.raises(ValueError, match="arm 4 out of range for variable 'mode'"):
+        overwrite_qualitative(cand, {"flag": 1, "mode": 4}, space)
+    with pytest.raises(ValueError, match="arm -1 out of range for variable 'flag'"):
+        overwrite_qualitative(cand, {"flag": -1, "mode": 0}, space)
 
 
 def test_overwrite_without_qualitative_params_is_identity():
     space = SearchSpace([ParamSpec("x", "real", lo=0.0, hi=1.0)])
     cand = np.random.default_rng(0).random((4, 1))
-    out = overwrite_qualitative(cand, [{}] * 4, space)
+    out = overwrite_qualitative(cand, {}, space)
+    assert out is not cand
     np.testing.assert_array_equal(out, cand)

@@ -102,10 +102,23 @@ def test_hello_without_any_space_is_an_error():
     assert "space" in replies[0]["message"]
 
 
+def test_hello_rejects_a_config_that_is_not_an_object():
+    bad = [[], False, 0, "", [{"batch_size": 2}]]
+    # a null config, like a missing one, means the defaults
+    null = json.dumps({"kind": "hello", "space": SPACE_DOC, "config": None})
+    code, replies = feed([hello_line(cfg) for cfg in bad] + [null, '{"kind": "suggest_request"}'])
+    assert code == 0
+    assert [r["kind"] for r in replies] == ["error"] * len(bad) + ["ack", "suggestions"]
+    assert all("config document must be an object" in r["message"] for r in replies[: len(bad)])
+    assert len(replies[-1]["points"]) == 8
+
+
 def test_unknown_kind_lists_expectations():
-    code, replies = feed([hello_line({"batch_size": 2}), '{"kind": "mystery"}'])
-    assert replies[1]["kind"] == "error"
-    assert "mystery" in replies[1]["message"]
+    # reply kinds such as ack are unknown as requests and are not listed
+    code, replies = feed([hello_line({"batch_size": 2}), '{"kind": "mystery"}', '{"kind": "ack"}'])
+    expected = "; expected one of ['hello', 'suggest_request', 'observe', 'best']"
+    assert replies[1] == {"kind": "error", "message": "unknown kind 'mystery'" + expected}
+    assert replies[2] == {"kind": "error", "message": "unknown kind 'ack'" + expected}
 
 
 def test_malformed_lines_never_stop_the_loop():

@@ -190,6 +190,20 @@ def test_suggest_observe_protocol_enforced():
     assert len(opt.history) == 4
 
 
+def test_observe_rejects_points_that_are_not_mappings():
+    opt = Optimizer(small_space(), OptimizerConfig(batch_size=2, seed=0))
+    pts = opt.suggest()
+    # dict() of (name, value) pairs equals the suggestion, so the pairs
+    # shape would pass a bare comparison
+    pairs = [list(p.items()) for p in pts]
+    for bad in ([1, 2], ["ab", "cd"], [None, None], pairs):
+        with pytest.raises(ProtocolError, match="must be mappings"):
+            opt.observe(bad, [1.0, 2.0])
+        assert opt.history == ()
+    opt.observe(pts, [1.0, 2.0])
+    assert [ob.value for ob in opt.history] == [1.0, 2.0]
+
+
 def test_observe_without_pending_batch_fails():
     opt = Optimizer(small_space(), OptimizerConfig(batch_size=2, seed=0))
     with pytest.raises(ProtocolError):
