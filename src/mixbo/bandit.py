@@ -46,13 +46,22 @@ class BanditState:
 def ts_select(state: BanditState, rng: np.random.Generator) -> dict[str, int]:
     """Pick one arm per variable by Thompson sampling.
 
-    Draws an independent Beta sample for every arm and returns the
-    argmax per variable (lowest index on exact ties). Consumes the rng.
+    Draws an independent Beta sample for every arm, all variables' arms
+    in one call in variable order, and returns the argmax per variable
+    (lowest index on exact ties). Consumes the rng as one call per
+    variable would.
     """
-    choice = {}
+    if not state.names:
+        return {}
+    theta = rng.beta(
+        np.concatenate([state.alpha[name] for name in state.names]),
+        np.concatenate([state.beta[name] for name in state.names]),
+    )
+    choice, start = {}, 0
     for name in state.names:
-        theta = rng.beta(state.alpha[name], state.beta[name])
-        choice[name] = int(np.argmax(theta))
+        stop = start + state.alpha[name].shape[0]
+        choice[name] = int(np.argmax(theta[start:stop]))
+        start = stop
     return choice
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Mapping
+from collections.abc import Mapping, Sized
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -367,8 +367,9 @@ class Optimizer:
         Parameters
         ----------
         points : sequence of dict
-            Must equal the pending suggestion, same order; a point that
-            is not a mapping raises ProtocolError.
+            Must equal the pending suggestion, same order; a points or
+            values argument without a length, or a point that is not a
+            mapping, raises ProtocolError.
         values : sequence of float
             One value per point. NaN, +inf and -inf count as failed
             evaluations: each is recorded as +inf (so -inf never becomes
@@ -381,6 +382,9 @@ class Optimizer:
         if self._pending is None:
             raise ProtocolError("observe called with no pending suggestion")
         pend = self._pending
+        for name, given in (("points", points), ("values", values)):
+            if not isinstance(given, Sized):
+                raise ProtocolError(f"observed {name} must be a sequence, got {type(given).__name__}")
         if len(points) != len(pend.points):
             raise ProtocolError(f"expected {len(pend.points)} points, got {len(points)}")
         if len(values) != len(pend.points):

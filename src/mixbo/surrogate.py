@@ -13,8 +13,14 @@ and k_I averages per-dimension indicator matches. An absent block drops
 out of the sum and contributes a factor of 1 to the product, so a purely
 continuous space reduces to the plain Matern kernel. The mixing weight
 lam is a kernel hyperparameter on a small grid. Every vectorized Gram,
-training, cross, and prior, is composed by one function from the block
-Grams that are present; the scalar kernels stay as the reference.
+training, cross, and prior, is written as
+
+    k = k_M * a + c,  a = (1 - lam) + lam * k_L * k_I,  c = (1 - lam) * (k_L + k_I)
+
+with the discrete part ``(a, c)`` built by one function from the
+discrete block Grams that are present. Without a discrete block the
+Gram is k_M itself, with its bits; without an x-block it is
+``c + lam * k_L * k_I``. The scalar kernels stay as the reference.
 
 Targets are standardized internally before fitting. Hyperparameters are
 chosen by maximizing the log marginal likelihood with a deterministic
@@ -25,13 +31,14 @@ the rest. A hard budget of likelihood evaluations limits the starts
 that race to those that leave the leader's remaining sweeps whole, so
 fits are reproducible and their cost is bounded. Every
 training Gram of a fit, searched or final, comes from one builder and
-is factored in its buffer by LAPACK ``potrf``. The builder keeps the
-pieces of its last Gram and rebuilds only those a probe changed: only a
+is factored in its buffer by LAPACK ``potrf``. The builder makes the
+sum and product of the discrete Grams once per fit, keeps the pieces of
+its last Gram and rebuilds only those a probe changed: only a
 lengthscale probe recomputes the scaled distances and the Matern
 factors, a signal-variance probe rescales the Matern Gram and
-recomposes, a lam probe only recomposes, and a noise probe copies the
-noiseless Gram and adds the noise to its diagonal. Each Gram has the
-bits of a build from scratch.
+recomposes, a lam probe rebuilds ``(a, c)`` and recomposes, and a noise
+probe copies the noiseless Gram and adds the noise to its diagonal.
+Each Gram has the bits of a build from scratch.
 
 Large matrices are built and factored in place. A Gram is filled into
 one preallocated output a row tile at a time, each tile holding about
@@ -39,22 +46,30 @@ one preallocated output a row tile at a time, each tile holding about
 tile-sized, and the Gram has the bits a whole-matrix assembly gives.
 The per-point inputs of the block Grams are prepared once per Gram, and
 a tile takes row slices of them: the x-block divided by the lengthscales
-with its squared row norms, the y-block, and the z-block coded as small
-unsigned integers, equal codes for values that compare equal, so the
-indicator counts compare codes, not floats. Within a tile, the matrix
-products run on the whole tile and the elementwise work (the Matern
-transform, the indicator counts and the composition) on pieces of whole
-rows of about ``_PIECE_ELEMENTS`` entries (512 KB), which stay in cache.
+with its squared row norms, the y-block, and the z-block. A qualitative
+column that holds one value on one side of the Gram, as every column of
+a bandit group's candidates does, contributes its matches as one vector
+against the other side, constant on a posterior triangle; the other
+columns are coded as small unsigned integers, equal codes for values
+that compare equal, so the indicator counts compare codes, not floats.
+Within a tile, the matrix products run on the whole tile and the
+elementwise work (the Matern transform, the indicator counts and the
+composition) on pieces of whole rows of about ``_PIECE_ELEMENTS``
+entries (512 KB), which stay in cache.
 
 Every matrix the module factors holds its values in its C-order upper
 triangle. That triangle is the lower triangle of the Fortran-ordered
 transpose, which LAPACK ``potrf`` overwrites with the lower Cholesky
 factor in place; a failed attempt refills the matrix and retries with
 diagonal jitter. Every square triangle outside the fit comes from one
-builder: each row tile of the prior Gram is built, and the explained
-part ``w.T @ w`` subtracted, from the diagonal of the tile's first row
-rightwards, and everything below the diagonal is zero, so the factor
-needs no cleanup. The posterior covariance of a Thompson draw exists
+builder: each row tile spans the columns from its first row's diagonal
+rightwards, and each elementwise piece of it (at most
+``_TRIANGLE_PIECE_ROWS`` rows) builds the prior Gram and subtracts the
+explained part ``w.T @ w`` from its own first row's diagonal rightwards.
+The products stay whole-tile, so every entry has the bits of a
+whole-matrix build; the small corner a piece computes below the
+diagonal is zeroed, and everything below the diagonal is zero, so the
+factor needs no cleanup. The posterior covariance of a Thompson draw exists
 only as that triangle. A public square Gram is the same triangle with
 an empty ``w``, mirrored, so it is exactly symmetric.
 
@@ -99,6 +114,11 @@ _ROW_ALIGN = 192
 #: tile, the kernel transforms and the composition run one block of
 #: whole rows of about this size at a time, so their passes stay in cache.
 _PIECE_ELEMENTS = 1 << 16
+
+#: Rows of one elementwise piece of a square triangle at most: each piece
+#: skips the entries left of its first row's diagonal, so thinner pieces
+#: skip more of the lower triangle, at a fixed cost per piece.
+_TRIANGLE_PIECE_ROWS = 64
 
 
 class NumericalError(RuntimeError):
@@ -313,17 +333,50 @@ class _Inputs(NamedTuple):
     """The per-row inputs of the block Grams of a set of points; None for an absent block.
 
     ``x`` is the x-block divided by the lengthscales, C-contiguous, and
-    ``xx`` its squared row norms; ``y`` is the y-block, C-contiguous; and
-    ``z`` holds the z-block's codes (see :func:`_codes`).
+    ``xx`` its squared row norms; ``y`` is the y-block, C-contiguous.
+    The z-block is split by column: ``z`` codes the columns that vary on
+    both sides of the Gram (see :func:`_codes`), and ``zc`` counts each
+    row's matches in the columns that hold one value on the other side.
+    ``dz`` is the z-block's width.
     """
 
     x: np.ndarray | None
     xx: np.ndarray | None
     y: np.ndarray | None
     z: np.ndarray | None
+    zc: np.ndarray | None
+    dz: int
 
     def rows(self, rows: slice) -> _Inputs:
-        return _Inputs(*(None if v is None else v[rows] for v in self))
+        return _Inputs(*(v[rows] if isinstance(v, np.ndarray) else v for v in self))
+
+
+def _qualitative_inputs(ZA: np.ndarray, ZB: np.ndarray) -> tuple[tuple, tuple]:
+    """The ``(z, zc)`` block inputs of the qualitative blocks ZA and ZB of the two sides of a Gram.
+
+    A column that holds one value on one side matches the other side's
+    rows as one vector, which the other side's ``zc`` counts: a column
+    constant on ZB (on both, too) adds ``ZA[:, j] == ZB[0, j]`` to ZA's
+    counts, and one constant on ZA only adds ``ZB[:, j] == ZA[0, j]`` to
+    ZB's. Only the other columns are coded, ZA's and ZB's together, and
+    compared entry by entry. Absent parts are None.
+    """
+
+    def one_value(Z: np.ndarray) -> np.ndarray:
+        # NaN compares unequal to itself, so a column with one never qualifies
+        return (Z == Z[:1]).all(axis=0) if Z.shape[0] else np.zeros(Z.shape[1], dtype=bool)
+
+    count_type = np.min_scalar_type(ZA.shape[1])
+    on_b = one_value(ZB)
+    on_a = one_value(ZA) & ~on_b
+    varying = ~(on_a | on_b)
+    zca = (ZA[:, on_b] == ZB[0, on_b]).sum(axis=1, dtype=count_type) if on_b.any() else None
+    zcb = (ZB[:, on_a] == ZA[0, on_a]).sum(axis=1, dtype=count_type) if on_a.any() else None
+    za = zb = None
+    if varying.any():
+        both = _codes(np.vstack([ZA[:, varying], ZB[:, varying]]))
+        za, zb = both[: ZA.shape[0]], both[ZA.shape[0] :]
+    return (za, zca), (zb, zcb)
 
 
 def _block_inputs(A: np.ndarray, B: np.ndarray, params: KernelParams, blocks: Blocks) -> tuple[_Inputs, _Inputs]:
@@ -341,7 +394,7 @@ def _block_inputs(A: np.ndarray, B: np.ndarray, params: KernelParams, blocks: Bl
     def stacked(block: np.ndarray) -> np.ndarray:
         return np.vstack([A[:, block], B[:, block]])
 
-    x = xx = y = z = None
+    x = xx = y = None
     if blocks.x.size:
         xf = np.asfortranarray(stacked(blocks.x) / params.lengthscales)
         # an F-ordered sum adds a row's squares one dimension at a time
@@ -349,57 +402,67 @@ def _block_inputs(A: np.ndarray, B: np.ndarray, params: KernelParams, blocks: Bl
         x = np.ascontiguousarray(xf)
     if blocks.y.size:
         y = np.ascontiguousarray(stacked(blocks.y))
-    if blocks.z.size:
-        z = _codes(stacked(blocks.z))
-    both = _Inputs(x, xx, y, z)
     n = A.shape[0]
-    return both.rows(slice(0, n)), both.rows(slice(n, None))
+    both = _Inputs(x, xx, y, None, None, 0)
+    a, b = both.rows(slice(0, n)), both.rows(slice(n, None))
+    if blocks.z.size:
+        (za, zca), (zb, zcb) = _qualitative_inputs(A[:, blocks.z], B[:, blocks.z])
+        a = a._replace(z=za, zc=zca, dz=blocks.z.size)
+        b = b._replace(z=zb, zc=zcb, dz=blocks.z.size)
+    return a, b
 
 
-def _indicator_gram(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
-    """Fraction of matching qualitative dimensions of two sets of codes, one dimension at a time.
+def _indicator_gram(a: _Inputs, b: _Inputs) -> np.ndarray:
+    """Fraction of matching qualitative dimensions of the rows of a against those of b.
 
-    Each dimension compares two contiguous columns of codes into one
-    reused boolean buffer, whose bytes are added to the counts; the
-    counts are exact in the smallest unsigned integer type that holds
-    the dimension count.
+    The coded columns compare two contiguous columns of codes at a time
+    into one reused boolean buffer, whose bytes are added to the counts;
+    the columns that hold one value on a side add their match vectors.
+    The counts are exact in the smallest unsigned integer type that
+    holds the dimension count, whatever order they are added in. Without
+    coded columns the result broadcasts: one column when only a's rows
+    have match vectors.
     """
-    dz = za.shape[1]
-    counts = np.zeros((za.shape[0], zb.shape[0]), dtype=np.min_scalar_type(dz))
-    eq = np.empty(counts.shape, dtype=bool)
-    for k in range(dz):
-        np.equal(za[:, k, None], zb[:, k], out=eq)
-        counts += eq.view(np.uint8)
-    return np.divide(counts, dz, dtype=float)
+    counts = None
+    if a.z is not None:
+        counts = np.zeros((a.z.shape[0], b.z.shape[0]), dtype=np.min_scalar_type(a.dz))
+        eq = np.empty(counts.shape, dtype=bool)
+        for k in range(a.z.shape[1]):
+            np.equal(a.z[:, k, None], b.z[:, k], out=eq)
+            counts += eq.view(np.uint8)
+    for vec in (None if a.zc is None else a.zc[:, None], b.zc):
+        if vec is not None:
+            counts = vec if counts is None else counts + vec
+    return np.divide(counts, a.dz, dtype=float)
 
 
-def _compose(grams, lam: float, out: np.ndarray) -> np.ndarray:
-    """``(1 - lam) * sum + lam * product`` of the block Grams that are present.
+def _sum_and_product(grams) -> tuple[np.ndarray, np.ndarray]:
+    """The sum and the product of the discrete block Grams, the linear Gram first.
 
-    The result is written to ``out``. Sum and product start from the
-    first two Grams, as ``0 + g`` and ``1 * g`` are exact. The Grams
-    themselves are never modified.
+    One Gram is its own sum and product. The Grams are never modified.
     """
-    if not grams:
-        raise ValueError("cannot evaluate a kernel over zero dimensions")
-    first, rest = grams[0], grams[1:]
-    if rest:
-        np.add(first, rest[0], out=out)
-        prod = np.multiply(first, rest[0])
-        rest = rest[1:]
-    else:
-        np.copyto(out, first)
-        prod = first.copy()
-    for g in rest:
-        out += g
-        prod *= g
-    out *= 1.0 - lam
-    prod *= lam
-    out += prod
-    return out
+    if len(grams) == 1:
+        return grams[0], grams[0]
+    return grams[0] + grams[1], grams[0] * grams[1]
 
 
-def _gram_tile(a: _Inputs, b: _Inputs, params: KernelParams, out: np.ndarray) -> None:
+def _discrete_part(total: np.ndarray, prod: np.ndarray, lam: float, matern: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The factors ``(a, c)`` of the mixture, given the sum and product of the discrete Grams.
+
+    With a Matern block k_M, the mixture is ``k_M * a + c`` with
+    ``a = (1 - lam) + lam * prod`` and ``c = (1 - lam) * total``;
+    without one, it is ``a + c`` with ``a = lam * prod``. Either is
+    ``(1 - lam) * sum + lam * product`` over the blocks present.
+    """
+    a = prod * lam
+    if matern:
+        a += 1.0 - lam
+    return a, total * (1.0 - lam)
+
+
+def _gram_tile(
+    a: _Inputs, b: _Inputs, params: KernelParams, out: np.ndarray, explained: np.ndarray | None = None
+) -> None:
     """Write the mixture Gram of the points of a against the points of b to out.
 
     a and b are block inputs (see :func:`_block_inputs`), a the rows of
@@ -408,49 +471,65 @@ def _gram_tile(a: _Inputs, b: _Inputs, params: KernelParams, out: np.ndarray) ->
     whole-matrix product. The Matern transform, the indicator counts and
     the composition then run on blocks of whole rows of about
     ``_PIECE_ELEMENTS`` entries, with the operations of a whole-matrix
-    assembly in the same order. A piece spans every column of its tile,
-    on a diagonal tile too: the entries below the diagonal are computed
-    and then discarded.
+    assembly in the same order.
+
+    With ``explained``, a matrix of out's shape, the tile is one of a
+    square triangle: out's row i is its column i, and out is zero. Each
+    piece then runs from its first row's diagonal rightwards and
+    subtracts ``explained`` there, and the corner below its diagonal
+    that it computed is zeroed, so out holds the upper triangle of the
+    Gram minus ``explained``.
     """
     d2 = lin = None
     if a.x is not None:
         d2 = _sqdist(a.x, a.xx, b.x, b.xx)
     if a.y is not None:
         lin = a.y @ b.y.T
+    if d2 is None and lin is None and not a.dz:
+        raise ValueError("cannot evaluate a kernel over zero dimensions")
     step = max(1, _PIECE_ELEMENTS // max(out.shape[1], 1))
+    if explained is not None:
+        step = min(step, _TRIANGLE_PIECE_ROWS)
     for start in range(0, out.shape[0], step):
         piece = slice(start, start + step)
-        grams = []
-        if d2 is not None:
-            poly, expo = _matern_factors(d2[piece])
-            grams.append(_matern(poly, expo, params.signal_variance, poly))
+        cols = slice(0 if explained is None else start, None)
+        part = out[piece, cols]
+        discrete = []
         if lin is not None:
-            grams.append(lin[piece])
-        if a.z is not None:
-            grams.append(_indicator_gram(a.z[piece], b.z))
-        _compose(grams, params.lam, out[piece])
+            discrete.append(lin[piece, cols])
+        if a.dz:
+            discrete.append(_indicator_gram(a.rows(piece), b.rows(cols)))
+        if discrete:
+            fa, fc = _discrete_part(*_sum_and_product(discrete), params.lam, d2 is not None)
+        if d2 is not None:
+            _matern(*_matern_factors(d2[piece, cols]), params.signal_variance, part)
+            if discrete:
+                part *= fa
+                part += fc
+        else:
+            np.add(fa, fc, out=part)
+        if explained is not None:
+            part -= explained[piece, cols]
+            corner = part[:, : part.shape[0]]
+            corner[np.tri(*corner.shape, k=-1, dtype=bool)] = 0.0
 
 
 def _upper_gram(Q: np.ndarray, params: KernelParams, blocks: Blocks, w: np.ndarray) -> np.ndarray:
     """Upper triangle of ``k(Q, Q) - w.T @ w``, zero below the diagonal.
 
     The block inputs of Q are built once, for the rows and for the
-    columns. Each row tile gets the prior Gram from its first row's
-    diagonal rightwards, built in the output, and ``w.T @ w`` of the same
-    entries is subtracted in place; the entries a diagonal tile computed
-    below the diagonal are then zeroed. A ``w`` with no rows subtracts
-    exact zeros, which leaves the prior Gram's triangle.
+    columns. Each row tile spans the columns from its first row's
+    diagonal rightwards; ``w.T @ w`` is made for the whole tile, and the
+    tile's pieces build the prior Gram and subtract it from their own
+    diagonals rightwards (see :func:`_gram_tile`). A ``w`` with no rows
+    subtracts exact zeros, which leaves the prior Gram's triangle.
     """
     q = Q.shape[0]
     a, b = _block_inputs(Q, Q, params, blocks)
     out = np.zeros((q, q))
     for rows in _row_tiles(q, q):
         cols = slice(rows.start, q)
-        tile = out[rows, cols]
-        _gram_tile(a.rows(rows), b.rows(cols), params, tile)
-        tile -= w[:, rows].T @ w[:, cols]
-        block = tile[:, : rows.stop - rows.start]
-        block[np.tri(block.shape[0], k=-1, dtype=bool)] = 0.0
+        _gram_tile(a.rows(rows), b.rows(cols), params, out[rows, cols], w[:, rows].T @ w[:, cols])
     return out
 
 
@@ -588,17 +667,22 @@ def _training_gram(X: np.ndarray, blocks: Blocks):
 
     ``theta`` holds the log lengthscales, log signal variance and log
     noise variance. Every call fills and returns the same n x n buffer.
-    The x-block's per-dimension squared differences and the linear and
-    indicator Grams are computed once; each is the same for (i, j) as
-    for (j, i), so every Gram is exactly symmetric.
+    The x-block's per-dimension squared differences, and the sum and the
+    product of the linear and indicator Grams, are computed once; each
+    is the same for (i, j) as for (j, i), so every Gram is exactly
+    symmetric. The noiseless Gram is ``k_M * a + c`` (``a + c`` without
+    an x-block, the Matern Gram k_M alone without a discrete block), with
+    the discrete part ``(a, c)`` of :func:`_discrete_part`.
 
     A call rebuilds only the pieces whose inputs differ from the last
     call's: the two lengthscale-only Matern factors when a lengthscale
     changed, the Matern Gram when they or the signal variance changed,
-    and the noiseless composed Gram when the Matern Gram or lam changed.
-    So a probe of the signal variance recomposes without the distances
-    or the exponential, a probe of lam only recomposes, and a probe of
-    the noise only copies the noiseless Gram into the returned buffer
+    ``(a, c)`` when lam changed, and the noiseless Gram when the Matern
+    Gram or lam changed. So a lengthscale probe makes 12 passes over the
+    Gram (the distance product, 7 for the factors, 2 for the Matern Gram
+    and 2 for ``k_M * a + c``), a probe of the signal variance 4 and a
+    copy, a probe of lam rebuilds ``(a, c)`` and recomposes, and a probe
+    of the noise only copies the noiseless Gram into the returned buffer
     and adds the noise to its diagonal. A piece is rebuilt with the
     operations of a full build, so every Gram has the same bits whatever
     came before it. The returned buffer is none of the kept pieces, so
@@ -608,22 +692,28 @@ def _training_gram(X: np.ndarray, blocks: Blocks):
     dx = blocks.x.size
     Xx = X[:, blocks.x]
     diff2 = ((Xx[:, None, :] - Xx[None, :, :]) ** 2).reshape(n * n, dx) if dx else None
-    fixed = []
+    discrete = []
     if blocks.y.size:
         Y = X[:, blocks.y]
-        fixed.append(Y @ Y.T)
+        discrete.append(Y @ Y.T)
     if blocks.z.size:
-        # the inputs are finite, so a code matches itself as the value does
-        Z = _codes(X[:, blocks.z])
-        fixed.append(_indicator_gram(Z, Z))
+        # the inputs are finite, so a row matches itself as the value does
+        Z = X[:, blocks.z]
+        a, b = (_Inputs(None, None, None, z, zc, blocks.z.size) for z, zc in _qualitative_inputs(Z, Z))
+        discrete.append(_indicator_gram(a, b))
+    if not (dx or discrete):
+        raise ValueError("cannot evaluate a kernel over zero dimensions")
+    total, prod = _sum_and_product(discrete) if discrete else (None, None)
     matern = np.empty((n, n)) if dx else None
-    noiseless = np.empty((n, n))
+    # without a discrete block the noiseless Gram is the Matern Gram
+    noiseless = np.empty((n, n)) if total is not None else matern
     work = np.empty((n, n))
     diag = work.reshape(-1)[:: n + 1]
     poly = expo = last_ls = last_sv = last_lam = None
+    fa = fc = part_lam = None
 
     def gram(theta: np.ndarray, lam: float) -> np.ndarray:
-        nonlocal poly, expo, last_ls, last_sv, last_lam
+        nonlocal poly, expo, last_ls, last_sv, last_lam, fa, fc, part_lam
         if dx:
             # bytes are a copy: the search moves one trial array in place
             # between probes
@@ -635,8 +725,15 @@ def _training_gram(X: np.ndarray, blocks: Blocks):
             if theta[dx] != last_sv:
                 _matern(poly, expo, math.exp(theta[dx]), matern)
                 last_sv, last_lam = float(theta[dx]), None
-        if lam != last_lam:
-            _compose([matern, *fixed] if dx else fixed, lam, noiseless)
+        if total is not None and lam != last_lam:
+            if lam != part_lam:
+                fa, fc = _discrete_part(total, prod, lam, bool(dx))
+                part_lam = lam
+            if dx:
+                np.multiply(matern, fa, out=noiseless)
+                np.add(noiseless, fc, out=noiseless)
+            else:
+                np.add(fa, fc, out=noiseless)
             last_lam = lam
         np.copyto(work, noiseless)
         np.add(diag, math.exp(theta[dx + 1]), out=diag)
@@ -714,9 +811,14 @@ def gp_fit(
     fit from that start alone takes. A sweep makes
     ``P = 13 c + 4`` evaluations over c coordinates (``13 c`` without
     a discrete block), so an uncapped fit makes ``4 (1 + P) + P``.
-    Each probe rebuilds only the parts of the training Gram it changed:
-    signal-variance probes and the lam scan reuse the lengthscale-only
-    Matern factors, and noise probes reuse the whole noiseless Gram.
+    The training Gram is ``k_M * a + c``: the sum and the product of
+    the discrete Grams are made once per fit, and the discrete part
+    ``(a, c)`` once per change of lam. Each probe rebuilds only the
+    parts of the training Gram it changed: signal-variance probes and
+    the lam scan reuse the lengthscale-only Matern factors, and noise
+    probes reuse the whole noiseless Gram. With all three blocks, a
+    lengthscale probe makes 12 passes over the Gram and a
+    signal-variance probe 5.
     Lengthscales lie in [0.005, 2], the signal variance in [0.05, 20]
     and the noise variance in [1e-6, 1e-2]. The search is
     deterministic and makes at most 2000 likelihood evaluations, which
@@ -936,9 +1038,13 @@ def gp_sample(
     Only the upper triangle of the posterior covariance is assembled, in
     one q x q buffer, a row tile at a time: each tile's matrix products
     run whole, and its elementwise kernel work in cache-sized pieces of
-    whole rows. The candidates' block inputs (scaled features, their
-    norms, and integer codes of the qualitative values) are prepared once
-    per fill, not per tile. The covariance root is its Cholesky factor,
+    rows, each from its first row's diagonal rightwards. The candidates'
+    block inputs (scaled features, their norms, and integer codes of the
+    qualitative values) are prepared once per fill, not per tile. A
+    qualitative column that holds one value over the candidates, as
+    every column of a bandit group's share does, is not coded: its
+    matches with the training points are one vector, and on the
+    triangle a constant. The covariance root is its Cholesky factor,
     computed in place by LAPACK ``dpotrf`` from that triangle.
 
     Draws are always float64. The default candidate count,

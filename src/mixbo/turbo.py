@@ -258,21 +258,20 @@ def sobol_points(n: int, dim: int, seed: int | None = None) -> np.ndarray:
     direction vector, chosen by the index of the lowest zero bit of i.
     This yields the standard sequence but permuted within each block of
     2^k consecutive points, which leaves all dyadic balance properties
-    intact.
+    intact. Point i is the XOR of the vectors flipped by points 1 to i,
+    so one cumulative XOR over them makes every point.
     """
     if not 1 <= dim <= _SOBOL_MAX_DIM:
         raise UnsupportedDimensionError(f"dim must be in [1, {_SOBOL_MAX_DIM}], got {dim}")
     if n < 1:
         raise ValueError("n must be at least 1")
     V = _load_direction_vectors()[:dim]
+    i = np.arange(1, n)
+    # point i flips the vector indexed by the count of trailing zeros of
+    # i; i & -i is 2**c, whose float exponent is exact
+    flips = np.frexp((i & -i).astype(np.float64))[1] - 1
     out = np.zeros((n, dim), dtype=np.uint64)
-    state = np.zeros(dim, dtype=np.uint64)
-    for i in range(1, n):
-        # Gray code flips the vector indexed by the count of trailing
-        # zeros of i (equivalently the lowest zero bit of i - 1).
-        c = (i & -i).bit_length() - 1
-        state = state ^ V[:, c]
-        out[i] = state
+    np.bitwise_xor.accumulate(V[:, flips].T, axis=0, out=out[1:])
     if seed is not None:
         rng = np.random.default_rng(seed)
         mask = rng.integers(0, 1 << _SOBOL_BITS, size=dim, dtype=np.uint64)

@@ -50,6 +50,17 @@ def test_selection_favors_rewarded_arm():
     assert np.mean(np.array(picks) == 2) > 0.9
 
 
+def test_one_beta_draw_selects_and_consumes_as_one_draw_per_variable():
+    st = BanditState.from_space(qual_space())
+    st.alpha["mode"] += [3.0, 0.0, 7.0, 1.0]
+    st.beta["flag"] += [2.0, 5.0]
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(50):
+        want = {name: int(np.argmax(ref.beta(st.alpha[name], st.beta[name]))) for name in st.names}
+        assert ts_select(st, rng) == want
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_bernoulli_convergence_two_arms():
     space = SearchSpace(
         [ParamSpec("arm", "categorical", categories=("good", "bad"))]

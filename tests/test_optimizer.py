@@ -204,6 +204,17 @@ def test_observe_rejects_points_that_are_not_mappings():
     assert [ob.value for ob in opt.history] == [1.0, 2.0]
 
 
+def test_observe_rejects_arguments_without_a_length():
+    opt = Optimizer(small_space(), OptimizerConfig(batch_size=2, seed=0))
+    pts = opt.suggest()
+    for points, values in ((None, [1.0, 2.0]), (pts, None), (pts, 5), (iter(pts), [1.0, 2.0])):
+        with pytest.raises(ProtocolError, match="must be a sequence"):
+            opt.observe(points, values)
+        assert opt.history == ()
+    opt.observe(pts, [1.0, 2.0])
+    assert [ob.value for ob in opt.history] == [1.0, 2.0]
+
+
 def test_observe_without_pending_batch_fails():
     opt = Optimizer(small_space(), OptimizerConfig(batch_size=2, seed=0))
     with pytest.raises(ProtocolError):

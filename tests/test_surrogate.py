@@ -562,20 +562,20 @@ def test_gp_mean_agrees_with_posterior_mean():
 
 
 def poison_lower_triangle(monkeypatch):
-    """Make every diagonal tile of an upper-triangle Gram come with NaN below its diagonal.
+    """Make the explained part of every tile of an upper-triangle Gram NaN below its diagonal.
 
-    A diagonal tile's rows are the first points of its columns. The
-    entries below the diagonal that it computes are poisoned; the rest of
-    the lower triangle is never computed.
+    A tile of the triangle starts its columns at its first row's
+    diagonal. A NaN below the diagonal that survives in the result was
+    either subtracted outside a piece's upper triangle or left in the
+    corner that a piece computed below its diagonal.
     """
     tile = surrogate._gram_tile
 
-    def poisoned(a, b, params, out):
-        tile(a, b, params, out)
-        m = out.shape[0]
-        if all(u is None or np.array_equal(u, v[:m]) for u, v in zip(a, b)):
-            block = out[:, :m]
-            block[np.tri(m, k=-1, dtype=bool)] = np.nan
+    def poisoned(a, b, params, out, explained=None):
+        if explained is not None:
+            m = out.shape[0]
+            explained[:, :m][np.tri(m, k=-1, dtype=bool)] = np.nan
+        tile(a, b, params, out, explained)
 
     monkeypatch.setattr(surrogate, "_gram_tile", poisoned)
 
@@ -622,6 +622,120 @@ def test_raw_posterior_upper_triangle_is_prior_gram_minus_update(q, align, tile,
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-10)
     draws = gp_sample(model, Q, np.random.default_rng(3), count=2)
     assert np.all(np.isfinite(draws))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_real_only_gram_is_the_matern_gram_bit_for_bit(lam, monkeypatch):
+    # without a discrete block a = 1 and c = 0, so no composition rounds
+    bl = Blocks.all_real(3)
+    rng = np.random.default_rng(9)
+    H, Q = rng.random((14, 3)), rng.random((9, 3))
+    p = KernelParams(lengthscales=np.array([0.3, 0.5, 0.7]), signal_variance=1.7, lam=lam)
+
+    def matern(A, B):
+        a, b = surrogate._block_inputs(A, B, p, bl)
+        d2 = surrogate._sqdist(a.x, a.xx, b.x, b.xx)
+        d = np.sqrt(d2)
+        poly = (math.sqrt(5.0) * d + 1.0) + 5.0 / 3.0 * d2
+        return (p.signal_variance * poly) * np.exp(-math.sqrt(5.0) * d)
+
+    square, cross = matern(H, H), matern(H, Q)
+    upper = np.triu_indices(14)
+    for align, tile, piece in ((None, None, None), (2, 16, 1)):
+        set_tiles(monkeypatch, align, tile, piece)
+        assert np.array_equal(mixture_gram(H, Q, p, bl), cross)
+        assert np.array_equal(mixture_gram(H, None, p, bl)[upper], square[upper])
+
+
+@pytest.mark.parametrize("present", ["x", "xy", "xz", "xyz", "z"])
+def test_discrete_part_composes_the_mixture(present):
+    # k = k_M a + c with a Matern block, a + c without one, and k_M alone
+    # without a discrete block, at every mixing weight of the fit
+    space = SearchSpace([p for key in present for p in BLOCK_PARAMS[key]])
+    bl = space.blocks
+    rng = np.random.default_rng(29)
+    H, Q = sample_inputs(rng, space, 8), sample_inputs(rng, space, 5)
+    ls = rng.uniform(0.1, 1.5, size=bl.x.size)
+
+    def block_gram(kernel, idx, *args):
+        return np.array([[kernel(a[idx], b[idx], *args) for b in Q] for a in H])
+
+    discrete = []
+    if bl.y.size:
+        discrete.append(block_gram(linear_kernel, bl.y))
+    if bl.z.size:
+        discrete.append(block_gram(indicator_kernel, bl.z))
+    km = block_gram(matern52, bl.x, ls, 1.7) if bl.x.size else None
+    for lam in surrogate._LAMBDA_GRID:
+        p = KernelParams(lengthscales=ls, signal_variance=1.7, lam=lam)
+        want = np.array([[mixture_kernel(a, b, p, bl) for b in Q] for a in H])
+        if discrete:
+            a, c = surrogate._discrete_part(*surrogate._sum_and_product(discrete), lam, km is not None)
+            got = a + c if km is None else km * a + c
+        else:
+            got = km
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(mixture_gram(H, Q, p, bl), want, rtol=0.0, atol=1e-12)
+
+
+def test_a_column_that_holds_one_value_on_a_side_is_not_coded():
+    empty = np.array([], dtype=np.intp)
+    bl = Blocks(x=empty, y=empty, z=np.arange(3))
+    p = KernelParams(lengthscales=np.ones(0))
+    rng = np.random.default_rng(2)
+    A = rng.choice([0.0, 0.5, 1.0], size=(30, 3))
+    B = rng.choice([0.0, 0.5, 1.0], size=(20, 3))
+    A[:, 1] = 0.5  # one value on A's side
+    B[:, 0] = 1.0  # one value on B's side
+    a, b = surrogate._block_inputs(A, B, p, bl)
+    # only the column that varies on both sides is coded; each constant
+    # column's matches are one vector on the other side
+    assert a.z.shape == (30, 1) and b.z.shape == (20, 1)
+    assert np.array_equal(a.zc, A[:, 0] == 1.0)
+    assert np.array_equal(b.zc, B[:, 1] == 0.5)
+    assert np.array_equal(mixture_gram(A, B, p, bl), float_indicator_gram(A, B, p.lam))
+    # every column constant on the query side: nothing is coded, and the
+    # indicator is one column against the queries
+    B[:, 1:] = [0.5, 0.0]
+    a, b = surrogate._block_inputs(A, B, p, bl)
+    assert a.z is None and b.z is None and b.zc is None
+    assert np.array_equal(a.zc, (A == B[0]).sum(axis=1))
+    assert surrogate._indicator_gram(a, b).shape == (30, 1)
+    assert np.array_equal(mixture_gram(A, B, p, bl), float_indicator_gram(A, B, p.lam))
+
+
+@pytest.mark.parametrize("q,align,tile,piece", TILINGS)
+def test_posterior_triangle_over_one_qualitative_selection(q, align, tile, piece, monkeypatch):
+    # a bandit group's share: every qualitative column of the queries
+    # holds the group's selection
+    space = mixed_space()
+    bl = space.blocks
+    rng = np.random.default_rng(15)
+    model = gp_fit(sample_inputs(rng, space, 12), rng.standard_normal(12), space)
+    Q = sample_inputs(rng, space, q)
+    Q[:, bl.z] = [0.5, 1.0]
+    set_tiles(monkeypatch, align, tile, piece)
+    monkeypatch.setattr(surrogate, "_TRIANGLE_PIECE_ROWS", 5)
+    p = model.params
+    ks = mixture_gram(model.inputs, Q, p, bl)
+    w = solve_triangular(model._chol, ks, lower=True)
+    prior = mixture_gram(Q, Q, p, bl)
+    want = prior.copy()
+    for rows in surrogate._row_tiles(q, q):
+        want[rows] -= w[:, rows].T @ w
+    poison_lower_triangle(monkeypatch)
+    cov = surrogate._upper_gram(Q, p, bl, w)
+    upper = np.triu_indices(q)
+    assert np.array_equal(cov[upper], want[upper])
+    assert not np.any(np.tril(cov, -1))
+    # the scalar kernel, at lengthscales whose distances the expansion
+    # |a|^2 + |b|^2 - 2 a.b leaves accurate to 1e-12
+    p = KernelParams(lengthscales=np.array([0.4, 0.9]), signal_variance=1.7, lam=0.25)
+    scalar = np.array([[mixture_kernel(a, b, p, bl) for b in Q] for a in Q])
+    got = surrogate._upper_gram(Q, p, bl, np.zeros((0, q)))
+    np.testing.assert_allclose(got[upper], scalar[upper], rtol=0.0, atol=1e-12)
+    scalar = np.array([[mixture_kernel(a, b, p, bl) for b in Q] for a in model.inputs])
+    np.testing.assert_allclose(mixture_gram(model.inputs, Q, p, bl), scalar, rtol=0.0, atol=1e-12)
 
 
 def test_square_gram_is_exactly_symmetric():

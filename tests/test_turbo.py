@@ -12,6 +12,7 @@ from mixbo.turbo import (
     TrustRegionConfig,
     TrustRegionState,
     UnsupportedDimensionError,
+    _load_direction_vectors,
     generate_candidates,
     needs_restart,
     new_state,
@@ -81,6 +82,25 @@ def test_matches_external_generator_unscrambled():
         ours = sobol_points(64, d)
         ref = qmc.Sobol(d, scramble=False).random(64)
         np.testing.assert_array_equal(ours, ref)
+
+
+def loop_sobol(n, d, seed=None):
+    """The Gray-code sequence one point at a time, each flipping one direction vector."""
+    V = _load_direction_vectors()[:d]
+    out = np.zeros((n, d), dtype=np.uint64)
+    state = np.zeros(d, dtype=np.uint64)
+    for i in range(1, n):
+        state = state ^ V[:, (i & -i).bit_length() - 1]
+        out[i] = state
+    if seed is not None:
+        out ^= np.random.default_rng(seed).integers(0, 1 << BITS, size=d, dtype=np.uint64)
+    return out.astype(np.float64) / 2.0**BITS
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 7), (1, 64), (2049, 64)])
+@pytest.mark.parametrize("seed", [None, 5])
+def test_cumulative_xor_equals_the_point_by_point_loop(n, d, seed):
+    assert np.array_equal(sobol_points(n, d, seed=seed), loop_sobol(n, d, seed))
 
 
 def test_scramble_is_deterministic_and_in_unit_cube():
