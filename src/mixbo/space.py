@@ -307,9 +307,14 @@ class SearchSpace:
         """Project warped vectors onto the representable lattice.
 
         Vectorized over rows: integer, boolean and categorical coordinates
-        equal ``warp(unwarp(w))``, the exact coordinates of the values
-        they would evaluate as, and real coordinates of both scales pass
-        through unchanged.
+        become the exact coordinates of the values they evaluate as, so
+        ``warp(unwarp(snap(w))) == snap(w)``, and real coordinates of both
+        scales pass through unchanged. A log-scale integer's coordinate is
+        :meth:`ParamSpec.warp_value` of its value, computed once per
+        distinct value. ``warp(unwarp(w))`` itself may differ from
+        ``snap(w)`` at a coordinate exactly half-way between two
+        integers, where ``np.exp`` and ``unwarp``'s ``math.exp`` may
+        round to different neighbours.
         """
         w = np.atleast_2d(np.asarray(coords, dtype=float)).copy()
         if w.shape[1] != self.dim:
@@ -323,7 +328,9 @@ class SearchSpace:
                 if p.scale == "log":
                     raw = p.lo * np.exp(col * math.log(p.hi / p.lo))
                     vals = np.ceil(raw - 0.5).clip(p.lo, p.hi)
-                    w[:, i] = np.log(vals / p.lo) / math.log(p.hi / p.lo)
+                    # np.log may differ from warp_value's math.log in the last bit
+                    distinct, inverse = np.unique(vals, return_inverse=True)
+                    w[:, i] = np.array([p.warp_value(int(v)) for v in distinct])[inverse]
                 else:
                     span = p.hi - p.lo
                     vals = np.ceil(p.lo + col * span - 0.5).clip(p.lo, p.hi)

@@ -40,38 +40,39 @@ recomposes, a lam probe rebuilds ``(a, c)`` and recomposes, and a noise
 probe copies the noiseless Gram and adds the noise to its diagonal.
 Each Gram has the bits of a build from scratch.
 
-Large matrices are built and factored in place. A Gram is filled into
-one preallocated output a row tile at a time, each tile holding about
-``_TILE_ELEMENTS`` entries (8 MB of float64), so every temporary is
-tile-sized, and the Gram has the bits a whole-matrix assembly gives.
-The per-point inputs of the block Grams are prepared once per Gram, and
-a tile takes row slices of them: the x-block divided by the lengthscales
-with its squared row norms, the y-block, and the z-block. A qualitative
-column that holds one value on one side of the Gram, as every column of
-a bandit group's candidates does, contributes its matches as one vector
-against the other side, constant on a posterior triangle; the other
-columns are coded as small unsigned integers, equal codes for values
-that compare equal, so the indicator counts compare codes, not floats.
-Within a tile, the matrix products run on the whole tile and the
-elementwise work (the Matern transform, the indicator counts and the
-composition) on pieces of whole rows of about ``_PIECE_ELEMENTS``
-entries (512 KB), which stay in cache.
+Large matrices are built and factored in place. Every vectorized Gram,
+cross or square, is filled into one preallocated output a tile of
+``_TILE_ROWS`` (64) rows at a time. A tile makes its own matrix
+products (the Matern distances and the linear Gram) and runs every
+elementwise pass (the Matern transform, the indicator counts and
+``k_M * a + c``) on the whole tile, so every temporary is tile-sized
+and stays in cache. The bits of a Gram are fixed by ``_TILE_ROWS``,
+not by the whole matrix: BLAS may round an entry of a product
+differently in products of other shapes, so a Gram built with other
+tiles may differ from it in the last bits, while one seed still gives
+the same Gram every time. The per-point inputs of the block Grams are
+prepared once per Gram, and a tile takes row slices of them: the
+x-block divided by the lengthscales with its squared row norms, the
+y-block, and the z-block. A qualitative column that holds one value on
+the column side of the Gram, as every column of a bandit group's
+candidates does, contributes its matches as one vector over the rows;
+the other columns are coded as small unsigned integers, equal codes for
+values that compare equal, so the indicator counts compare codes, not
+floats.
 
 Every matrix the module factors holds its values in its C-order upper
 triangle. That triangle is the lower triangle of the Fortran-ordered
 transpose, which LAPACK ``potrf`` overwrites with the lower Cholesky
 factor in place; a failed attempt refills the matrix and retries with
-diagonal jitter. Every square triangle outside the fit comes from one
-builder: each row tile spans the columns from its first row's diagonal
-rightwards, and each elementwise piece of it (at most
-``_TRIANGLE_PIECE_ROWS`` rows) builds the prior Gram and subtracts the
-explained part ``w.T @ w`` from its own first row's diagonal rightwards.
-The products stay whole-tile, so every entry has the bits of a
-whole-matrix build; the small corner a piece computes below the
-diagonal is zeroed, and everything below the diagonal is zero, so the
-factor needs no cleanup. The posterior covariance of a Thompson draw exists
-only as that triangle. A public square Gram is the same triangle with
-an empty ``w``, mirrored, so it is exactly symmetric.
+diagonal jitter. Every square triangle outside the fit is a posterior
+triangle, and one builder makes it: each row tile spans the columns
+from its first row's diagonal rightwards, so its products skip the
+lower triangle too, subtracts the explained part ``w.T @ w`` there and
+zeroes the small corner it computed below the diagonal. Everything
+below the diagonal is zero, so the factor needs no cleanup. The
+posterior covariance of a Thompson draw exists only as that triangle.
+A public square Gram is the cross Gram of a set with itself with its
+upper triangle mirrored, so it is exactly symmetric.
 
 A draw is always float64: the triangle is factored by ``dpotrf``, and
 a draw over q candidates holds one q x q float64 matrix plus a few
@@ -102,23 +103,10 @@ DEFAULT_LENGTHSCALE = 0.5
 DEFAULT_SIGNAL_VARIANCE = 1.0
 DEFAULT_NOISE_VARIANCE = 1e-3
 
-#: Entries of one work tile (8 MB of float64); large matrices are built,
-#: updated and factored in place one tile at a time.
-_TILE_ELEMENTS = 1 << 20
-
-#: Row tiles start at multiples of this, a multiple of the row unroll of
-#: the GEMM kernels of common BLAS builds.
-_ROW_ALIGN = 192
-
-#: Entries of one elementwise piece (512 KB of float64): inside a row
-#: tile, the kernel transforms and the composition run one block of
-#: whole rows of about this size at a time, so their passes stay in cache.
-_PIECE_ELEMENTS = 1 << 16
-
-#: Rows of one elementwise piece of a square triangle at most: each piece
-#: skips the entries left of its first row's diagonal, so thinner pieces
-#: skip more of the lower triangle, at a fixed cost per piece.
-_TRIANGLE_PIECE_ROWS = 64
+#: Rows of one tile of a vectorized Gram: each tile makes its own
+#: products and elementwise passes, and at 2048 columns its temporaries
+#: are 1 MB each.
+_TILE_ROWS = 64
 
 
 class NumericalError(RuntimeError):
@@ -273,19 +261,16 @@ def _sqdist(a: np.ndarray, aa: np.ndarray, b: np.ndarray, bb: np.ndarray) -> np.
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _row_tiles(n: int, width: int):
-    """Yield row slices of an n x width matrix, each about one tile.
+def _row_tiles(n: int):
+    """Yield the row slices of the tiles of n rows, ``_TILE_ROWS`` rows each.
 
-    A product's rows come out of BLAS with the same bits in a row tile
-    as in the whole matrix only if the tile's rows meet the same GEMM
-    micro-kernel: tiles start at multiples of ``_ROW_ALIGN`` rows, and
-    no tile has a single row unless n is 1, because numpy multiplies a
-    one-row matrix by GEMV, which rounds differently from GEMM.
+    The last tile absorbs a lone row, so no tile has a single row unless
+    n is 1: numpy multiplies a one-row matrix by GEMV, which rounds
+    differently from GEMM.
     """
-    step = max(_ROW_ALIGN, _TILE_ELEMENTS // max(width, 1) // _ROW_ALIGN * _ROW_ALIGN)
     start = 0
     while start < n:
-        stop = min(start + step, n)
+        stop = min(start + _TILE_ROWS, n)
         if n - stop == 1:
             stop = n
         yield slice(start, stop)
@@ -335,9 +320,10 @@ class _Inputs(NamedTuple):
     ``x`` is the x-block divided by the lengthscales, C-contiguous, and
     ``xx`` its squared row norms; ``y`` is the y-block, C-contiguous.
     The z-block is split by column: ``z`` codes the columns that vary on
-    both sides of the Gram (see :func:`_codes`), and ``zc`` counts each
-    row's matches in the columns that hold one value on the other side.
-    ``dz`` is the z-block's width.
+    the column side of the Gram (see :func:`_codes`), and the rows'
+    ``zc`` counts each row's matches in the columns that hold one value
+    on the column side; the columns' ``zc`` is None. ``dz`` is the
+    z-block's width.
     """
 
     x: np.ndarray | None
@@ -351,32 +337,23 @@ class _Inputs(NamedTuple):
         return _Inputs(*(v[rows] if isinstance(v, np.ndarray) else v for v in self))
 
 
-def _qualitative_inputs(ZA: np.ndarray, ZB: np.ndarray) -> tuple[tuple, tuple]:
-    """The ``(z, zc)`` block inputs of the qualitative blocks ZA and ZB of the two sides of a Gram.
+def _qualitative_inputs(ZA: np.ndarray, ZB: np.ndarray) -> tuple:
+    """The codes of ZA, the codes of ZB and ZA's match counts, for the qualitative blocks of a Gram.
 
-    A column that holds one value on one side matches the other side's
-    rows as one vector, which the other side's ``zc`` counts: a column
-    constant on ZB (on both, too) adds ``ZA[:, j] == ZB[0, j]`` to ZA's
-    counts, and one constant on ZA only adds ``ZB[:, j] == ZA[0, j]`` to
-    ZB's. Only the other columns are coded, ZA's and ZB's together, and
-    compared entry by entry. Absent parts are None.
+    ZA holds the Gram's rows and ZB its columns. A column that holds one
+    value on ZB matches ZA's rows as one vector: ``ZA[:, j] == ZB[0, j]``
+    is added to ZA's counts. Every other column is coded, ZA's and ZB's
+    together, and compared entry by entry. Absent parts are None.
     """
-
-    def one_value(Z: np.ndarray) -> np.ndarray:
-        # NaN compares unequal to itself, so a column with one never qualifies
-        return (Z == Z[:1]).all(axis=0) if Z.shape[0] else np.zeros(Z.shape[1], dtype=bool)
-
-    count_type = np.min_scalar_type(ZA.shape[1])
-    on_b = one_value(ZB)
-    on_a = one_value(ZA) & ~on_b
-    varying = ~(on_a | on_b)
-    zca = (ZA[:, on_b] == ZB[0, on_b]).sum(axis=1, dtype=count_type) if on_b.any() else None
-    zcb = (ZB[:, on_a] == ZA[0, on_a]).sum(axis=1, dtype=count_type) if on_a.any() else None
-    za = zb = None
-    if varying.any():
-        both = _codes(np.vstack([ZA[:, varying], ZB[:, varying]]))
+    # NaN compares unequal to itself, so a column with one never qualifies
+    constant = (ZB == ZB[:1]).all(axis=0) if ZB.shape[0] else np.zeros(ZB.shape[1], dtype=bool)
+    counts = za = zb = None
+    if constant.any():
+        counts = (ZA[:, constant] == ZB[0, constant]).sum(axis=1, dtype=np.min_scalar_type(ZA.shape[1]))
+    if not constant.all():
+        both = _codes(np.vstack([ZA[:, ~constant], ZB[:, ~constant]]))
         za, zb = both[: ZA.shape[0]], both[ZA.shape[0] :]
-    return (za, zca), (zb, zcb)
+    return za, zb, counts
 
 
 def _block_inputs(A: np.ndarray, B: np.ndarray, params: KernelParams, blocks: Blocks) -> tuple[_Inputs, _Inputs]:
@@ -406,9 +383,9 @@ def _block_inputs(A: np.ndarray, B: np.ndarray, params: KernelParams, blocks: Bl
     both = _Inputs(x, xx, y, None, None, 0)
     a, b = both.rows(slice(0, n)), both.rows(slice(n, None))
     if blocks.z.size:
-        (za, zca), (zb, zcb) = _qualitative_inputs(A[:, blocks.z], B[:, blocks.z])
-        a = a._replace(z=za, zc=zca, dz=blocks.z.size)
-        b = b._replace(z=zb, zc=zcb, dz=blocks.z.size)
+        za, zb, counts = _qualitative_inputs(A[:, blocks.z], B[:, blocks.z])
+        a = a._replace(z=za, zc=counts, dz=blocks.z.size)
+        b = b._replace(z=zb, dz=blocks.z.size)
     return a, b
 
 
@@ -417,22 +394,20 @@ def _indicator_gram(a: _Inputs, b: _Inputs) -> np.ndarray:
 
     The coded columns compare two contiguous columns of codes at a time
     into one reused boolean buffer, whose bytes are added to the counts;
-    the columns that hold one value on a side add their match vectors.
+    the columns that hold one value on b's side add a's match vector.
     The counts are exact in the smallest unsigned integer type that
     holds the dimension count, whatever order they are added in. Without
-    coded columns the result broadcasts: one column when only a's rows
-    have match vectors.
+    coded columns the result is one column, which broadcasts.
     """
-    counts = None
-    if a.z is not None:
-        counts = np.zeros((a.z.shape[0], b.z.shape[0]), dtype=np.min_scalar_type(a.dz))
-        eq = np.empty(counts.shape, dtype=bool)
-        for k in range(a.z.shape[1]):
-            np.equal(a.z[:, k, None], b.z[:, k], out=eq)
-            counts += eq.view(np.uint8)
-    for vec in (None if a.zc is None else a.zc[:, None], b.zc):
-        if vec is not None:
-            counts = vec if counts is None else counts + vec
+    if a.z is None:
+        return np.divide(a.zc[:, None], a.dz, dtype=float)
+    counts = np.zeros((a.z.shape[0], b.z.shape[0]), dtype=np.min_scalar_type(a.dz))
+    eq = np.empty(counts.shape, dtype=bool)
+    for k in range(a.z.shape[1]):
+        np.equal(a.z[:, k, None], b.z[:, k], out=eq)
+        counts += eq.view(np.uint8)
+    if a.zc is not None:
+        counts += a.zc[:, None]
     return np.divide(counts, a.dz, dtype=float)
 
 
@@ -460,76 +435,50 @@ def _discrete_part(total: np.ndarray, prod: np.ndarray, lam: float, matern: bool
     return a, total * (1.0 - lam)
 
 
-def _gram_tile(
-    a: _Inputs, b: _Inputs, params: KernelParams, out: np.ndarray, explained: np.ndarray | None = None
-) -> None:
+def _gram_tile(a: _Inputs, b: _Inputs, params: KernelParams, out: np.ndarray) -> None:
     """Write the mixture Gram of the points of a against the points of b to out.
 
     a and b are block inputs (see :func:`_block_inputs`), a the rows of
-    the tile. The matrix products (the Matern distances and the linear
-    Gram) are made for the whole tile, so each entry has the bits of a
-    whole-matrix product. The Matern transform, the indicator counts and
-    the composition then run on blocks of whole rows of about
-    ``_PIECE_ELEMENTS`` entries, with the operations of a whole-matrix
-    assembly in the same order.
-
-    With ``explained``, a matrix of out's shape, the tile is one of a
-    square triangle: out's row i is its column i, and out is zero. Each
-    piece then runs from its first row's diagonal rightwards and
-    subtracts ``explained`` there, and the corner below its diagonal
-    that it computed is zeroed, so out holds the upper triangle of the
-    Gram minus ``explained``.
+    one tile. The matrix products (the Matern distances and the linear
+    Gram) come first, then the Matern transform, the indicator counts
+    and ``k_M * a + c``, each on the whole tile.
     """
-    d2 = lin = None
-    if a.x is not None:
-        d2 = _sqdist(a.x, a.xx, b.x, b.xx)
-    if a.y is not None:
-        lin = a.y @ b.y.T
-    if d2 is None and lin is None and not a.dz:
+    d2 = _sqdist(a.x, a.xx, b.x, b.xx) if a.x is not None else None
+    discrete = [] if a.y is None else [a.y @ b.y.T]
+    if d2 is None and not discrete and not a.dz:
         raise ValueError("cannot evaluate a kernel over zero dimensions")
-    step = max(1, _PIECE_ELEMENTS // max(out.shape[1], 1))
-    if explained is not None:
-        step = min(step, _TRIANGLE_PIECE_ROWS)
-    for start in range(0, out.shape[0], step):
-        piece = slice(start, start + step)
-        cols = slice(0 if explained is None else start, None)
-        part = out[piece, cols]
-        discrete = []
-        if lin is not None:
-            discrete.append(lin[piece, cols])
-        if a.dz:
-            discrete.append(_indicator_gram(a.rows(piece), b.rows(cols)))
-        if discrete:
-            fa, fc = _discrete_part(*_sum_and_product(discrete), params.lam, d2 is not None)
-        if d2 is not None:
-            _matern(*_matern_factors(d2[piece, cols]), params.signal_variance, part)
-            if discrete:
-                part *= fa
-                part += fc
-        else:
-            np.add(fa, fc, out=part)
-        if explained is not None:
-            part -= explained[piece, cols]
-            corner = part[:, : part.shape[0]]
-            corner[np.tri(*corner.shape, k=-1, dtype=bool)] = 0.0
+    if a.dz:
+        discrete.append(_indicator_gram(a, b))
+    if discrete:
+        fa, fc = _discrete_part(*_sum_and_product(discrete), params.lam, d2 is not None)
+    if d2 is None:
+        np.add(fa, fc, out=out)
+        return
+    _matern(*_matern_factors(d2), params.signal_variance, out)
+    if discrete:
+        out *= fa
+        out += fc
 
 
 def _upper_gram(Q: np.ndarray, params: KernelParams, blocks: Blocks, w: np.ndarray) -> np.ndarray:
-    """Upper triangle of ``k(Q, Q) - w.T @ w``, zero below the diagonal.
+    """Upper triangle of the posterior covariance ``k(Q, Q) - w.T @ w``, zero below the diagonal.
 
     The block inputs of Q are built once, for the rows and for the
     columns. Each row tile spans the columns from its first row's
-    diagonal rightwards; ``w.T @ w`` is made for the whole tile, and the
-    tile's pieces build the prior Gram and subtract it from their own
-    diagonals rightwards (see :func:`_gram_tile`). A ``w`` with no rows
-    subtracts exact zeros, which leaves the prior Gram's triangle.
+    diagonal rightwards: it writes the prior Gram there, subtracts
+    ``w[:, rows].T @ w[:, cols]`` and zeroes the corner below its
+    diagonal.
     """
     q = Q.shape[0]
     a, b = _block_inputs(Q, Q, params, blocks)
     out = np.zeros((q, q))
-    for rows in _row_tiles(q, q):
+    for rows in _row_tiles(q):
         cols = slice(rows.start, q)
-        _gram_tile(a.rows(rows), b.rows(cols), params, out[rows, cols], w[:, rows].T @ w[:, cols])
+        tile = out[rows, cols]
+        _gram_tile(a.rows(rows), b.rows(cols), params, tile)
+        tile -= w[:, rows].T @ w[:, cols]
+        m = tile.shape[0]
+        tile[:, :m][np.tri(m, k=-1, dtype=bool)] = 0.0
     return out
 
 
@@ -544,9 +493,8 @@ def mixture_gram(
     Equivalent to evaluating :func:`mixture_kernel` on every pair, but
     assembled blockwise in vector form, one row tile of the output at a
     time, so temporaries stay tile-sized. Pass ``inputs2=None`` for the
-    square Gram of one set: its upper triangle is built as a posterior
-    triangle with nothing explained and mirrored, so the result is
-    exactly symmetric.
+    square Gram of one set: the cross Gram of the set with itself, its
+    upper triangle mirrored, so the result is exactly symmetric.
 
     Parameters
     ----------
@@ -565,16 +513,14 @@ def mixture_gram(
         If ``blocks`` selects no dimension at all.
     """
     A = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if inputs2 is None:
-        out = _upper_gram(A, params, blocks, np.zeros((0, A.shape[0])))
-        # exact: the strict lower triangle is zero
-        out += np.triu(out, 1).T
-        return out
-    B = np.atleast_2d(np.asarray(inputs2, dtype=float))
+    B = A if inputs2 is None else np.atleast_2d(np.asarray(inputs2, dtype=float))
     a, b = _block_inputs(A, B, params, blocks)
     out = np.empty((A.shape[0], B.shape[0]))
-    for rows in _row_tiles(*out.shape):
+    for rows in _row_tiles(A.shape[0]):
         _gram_tile(a.rows(rows), b, params, out[rows])
+    if inputs2 is None:
+        # exact: every entry adds a zero
+        return np.triu(out) + np.triu(out, 1).T
     return out
 
 
@@ -699,8 +645,9 @@ def _training_gram(X: np.ndarray, blocks: Blocks):
     if blocks.z.size:
         # the inputs are finite, so a row matches itself as the value does
         Z = X[:, blocks.z]
-        a, b = (_Inputs(None, None, None, z, zc, blocks.z.size) for z, zc in _qualitative_inputs(Z, Z))
-        discrete.append(_indicator_gram(a, b))
+        za, zb, counts = _qualitative_inputs(Z, Z)
+        a = _Inputs(None, None, None, za, counts, blocks.z.size)
+        discrete.append(_indicator_gram(a, a._replace(z=zb, zc=None)))
     if not (dx or discrete):
         raise ValueError("cannot evaluate a kernel over zero dimensions")
     total, prod = _sum_and_product(discrete) if discrete else (None, None)
@@ -1036,9 +983,9 @@ def gp_sample(
     Notes
     -----
     Only the upper triangle of the posterior covariance is assembled, in
-    one q x q buffer, a row tile at a time: each tile's matrix products
-    run whole, and its elementwise kernel work in cache-sized pieces of
-    rows, each from its first row's diagonal rightwards. The candidates'
+    one q x q buffer, a tile of 64 rows at a time, each from its first
+    row's diagonal rightwards, so its products and its elementwise
+    kernel work skip the lower triangle. The candidates'
     block inputs (scaled features, their norms, and integer codes of the
     qualitative values) are prepared once per fill, not per tile. A
     qualitative column that holds one value over the candidates, as
@@ -1057,8 +1004,8 @@ def gp_sample(
     1e-5; past that, the root is an eigendecomposition of one more
     rebuild with clipped eigenvalues, so rank-deficient covariances
     (duplicate or fully explained points) are handled without error.
-    Memory is one q x q float64 matrix plus tiles of about 8 MB each,
-    and ``O(n q)`` for the cross covariances with the n training points;
+    Memory is one q x q float64 matrix plus a few 64-row tiles (1 MB
+    each at q = 2048), and ``O(n q)`` for the cross covariances with the n training points;
     only the eigendecomposition fallback allocates more. Identical rng
     state gives identical draws on one BLAS build.
     """

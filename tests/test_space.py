@@ -273,6 +273,16 @@ def test_snap_projects_to_lattice_and_is_idempotent():
     assert one.shape == (sp.dim,)
 
 
+def test_snapped_log_integers_are_fixed_points_of_warp_and_unwarp():
+    # np.log and warp_value's math.log differ in the last bit at some
+    # integers, such as 2921 on [16, 4096], whose coordinate is near 0.939
+    w = np.append(np.linspace(0.0, 1.0, 20001), 0.939)[:, None]
+    for lo, hi in ((1, 1024), (16, 4096), (1, 100000), (3, 77777)):
+        p = ParamSpec("n", "integer", lo=lo, hi=hi, scale="log")
+        snapped = SearchSpace([p]).snap(w)[:, 0]
+        assert [p.warp_value(p.unwarp_value(float(v))) for v in snapped] == snapped.tolist()
+
+
 def test_snap_codes_a_boolean_as_a_two_label_categorical():
     rng = np.random.default_rng(5)
     cols = np.concatenate([rng.random(500), [0.0, 0.25, 0.5, 0.75, 1.0]])[:, None]

@@ -163,16 +163,14 @@ def test_gram_matches_scalar_kernel_for_every_block_combination(present, lam, mo
     np.testing.assert_allclose(mixture_gram(H, None, p, bl), square, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(mixture_gram(H, Q, p, bl), cross, rtol=0.0, atol=1e-12)
     # row tiles of 2 to 6 rows, some with a last tile that absorbs a lone row
-    monkeypatch.setattr(surrogate, "_ROW_ALIGN", 2)
-    for tile in (16, 24, 36):
-        monkeypatch.setattr(surrogate, "_TILE_ELEMENTS", tile)
+    for tile in (2, 4, 6):
+        monkeypatch.setattr(surrogate, "_TILE_ROWS", tile)
         np.testing.assert_allclose(mixture_gram(H, None, p, bl), square, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(mixture_gram(H, Q, p, bl), cross, rtol=0.0, atol=1e-12)
 
 
 def test_row_tiles_cover_every_row_without_lone_rows(monkeypatch):
-    monkeypatch.setattr(surrogate, "_ROW_ALIGN", 2)
-    monkeypatch.setattr(surrogate, "_TILE_ELEMENTS", 40)  # 4 rows of width 10
+    monkeypatch.setattr(surrogate, "_TILE_ROWS", 4)
     cases = {
         1: [(0, 1)],
         3: [(0, 3)],
@@ -184,7 +182,7 @@ def test_row_tiles_cover_every_row_without_lone_rows(monkeypatch):
         10: [(0, 4), (4, 8), (8, 10)],
     }
     for n, want in cases.items():
-        assert [(t.start, t.stop) for t in surrogate._row_tiles(n, 10)] == want
+        assert [(t.start, t.stop) for t in surrogate._row_tiles(n)] == want
 
 
 def test_gram_over_zero_dimensions_is_an_error():
@@ -562,61 +560,75 @@ def test_gp_mean_agrees_with_posterior_mean():
 
 
 def poison_lower_triangle(monkeypatch):
-    """Make the explained part of every tile of an upper-triangle Gram NaN below its diagonal.
+    """Make every Gram tile NaN below its own diagonal.
 
-    A tile of the triangle starts its columns at its first row's
-    diagonal. A NaN below the diagonal that survives in the result was
-    either subtracted outside a piece's upper triangle or left in the
-    corner that a piece computed below its diagonal.
+    A tile of a posterior triangle starts its columns at its first row's
+    diagonal, so its corner below that diagonal lies in the lower
+    triangle. A NaN that survives there was left unzeroed. Cross Grams
+    have no such corner, so the poison is for triangles only.
     """
     tile = surrogate._gram_tile
 
-    def poisoned(a, b, params, out, explained=None):
-        if explained is not None:
-            m = out.shape[0]
-            explained[:, :m][np.tri(m, k=-1, dtype=bool)] = np.nan
-        tile(a, b, params, out, explained)
+    def poisoned(a, b, params, out):
+        tile(a, b, params, out)
+        m = min(out.shape)
+        out[:, :m][np.tri(m, k=-1, dtype=bool)] = np.nan
 
     monkeypatch.setattr(surrogate, "_gram_tile", poisoned)
 
 
-def set_tiles(monkeypatch, align, tile, piece):
-    for name, value in (("_ROW_ALIGN", align), ("_TILE_ELEMENTS", tile), ("_PIECE_ELEMENTS", piece)):
-        if value is not None:
-            monkeypatch.setattr(surrogate, name, value)
+def set_tiles(monkeypatch, rows):
+    if rows is not None:
+        monkeypatch.setattr(surrogate, "_TILE_ROWS", rows)
 
 
-# (q, row alignment, tile entries, piece entries): one tile of whole-matrix
-# pieces; 2-row tiles whose last absorbs a lone row, with 1-row pieces;
-# 4-row tiles, the last ending at q, with 1-row pieces; the same tiles
-# with pieces of 1 to 4 rows
-TILINGS = [(23, None, None, None), (23, 2, 16, 1), (24, 2, 96, 1), (24, 2, 96, 40)]
+def tiled_triangle(Q, params, blocks, w):
+    """The posterior triangle made with the row tiles of the triangle builder.
+
+    Each tile is a cross Gram of its rows against the columns from its
+    first row's diagonal rightwards, the products of the triangle's own
+    shapes: BLAS may round an entry of a product differently in products
+    of other shapes.
+    """
+    q = Q.shape[0]
+    want = np.zeros((q, q))
+    for rows in surrogate._row_tiles(q):
+        cols = slice(rows.start, q)
+        want[rows, cols] = mixture_gram(Q[rows], Q[cols], params, blocks) - w[:, rows].T @ w[:, cols]
+    return want
 
 
-@pytest.mark.parametrize("q,align,tile,piece", TILINGS)
-def test_raw_posterior_upper_triangle_is_prior_gram_minus_update(q, align, tile, piece, monkeypatch):
+# (q, tile rows): one tile; 2-row tiles whose last absorbs a lone row;
+# 4-row tiles, the last ending at q; 5-row tiles, the last of 4 rows
+TILINGS = [
+    pytest.param(23, None, id="23-None-None-None"),
+    pytest.param(23, 2, id="23-2-16-1"),
+    pytest.param(24, 4, id="24-2-96-1"),
+    pytest.param(24, 5, id="24-2-96-40"),
+]
+
+
+@pytest.mark.parametrize("q,rows", TILINGS)
+def test_raw_posterior_upper_triangle_is_prior_gram_minus_update(q, rows, monkeypatch):
     space = mixed_space()
     rng = np.random.default_rng(13)
     model = gp_fit(sample_inputs(rng, space, 10), rng.standard_normal(10), space)
     Q = sample_inputs(rng, space, q)
     _, ref = gp_posterior(model, Q)
-    set_tiles(monkeypatch, align, tile, piece)
-    # the whole prior Gram minus the whole update, made with the same row
-    # tiles: BLAS rounds a product's rows by their place in the call, and
-    # tiles this small start off the GEMM micro-kernel's row grid
+    set_tiles(monkeypatch, rows)
     w = solve_triangular(model._chol, mixture_gram(model.inputs, Q, model.params, model.blocks), lower=True)
-    want = mixture_gram(Q, Q, model.params, model.blocks)
-    for rows in surrogate._row_tiles(q, q):
-        want[rows] -= w[:, rows].T @ w
-    if align is None:
-        assert np.array_equal(want, mixture_gram(Q, Q, model.params, model.blocks) - w.T @ w)
-    poison_lower_triangle(monkeypatch)
-    checked, _, w = surrogate._cross(model, Q)
-    cov = surrogate._upper_gram(checked, model.params, model.blocks, w)
+    want = tiled_triangle(Q, model.params, model.blocks, w)
     upper = np.triu_indices(q)
+    if rows is None:
+        # one tile: the whole prior Gram minus the whole update
+        assert np.array_equal(want[upper], (mixture_gram(Q, Q, model.params, model.blocks) - w.T @ w)[upper])
+    checked, _, w = surrogate._cross(model, Q)
+    with monkeypatch.context() as poisoned:
+        poison_lower_triangle(poisoned)
+        cov = surrogate._upper_gram(checked, model.params, model.blocks, w)
     assert np.array_equal(cov[upper], want[upper])
     assert not np.any(np.tril(cov, -1))
-    # nothing downstream reads below the diagonal
+    # the triangle gives the posterior covariance and finite draws
     _, got = gp_posterior(model, Q)
     assert np.array_equal(got, got.T)
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-10)
@@ -639,10 +651,12 @@ def test_real_only_gram_is_the_matern_gram_bit_for_bit(lam, monkeypatch):
         poly = (math.sqrt(5.0) * d + 1.0) + 5.0 / 3.0 * d2
         return (p.signal_variance * poly) * np.exp(-math.sqrt(5.0) * d)
 
-    square, cross = matern(H, H), matern(H, Q)
     upper = np.triu_indices(14)
-    for align, tile, piece in ((None, None, None), (2, 16, 1)):
-        set_tiles(monkeypatch, align, tile, piece)
+    for rows in (None, 2):
+        set_tiles(monkeypatch, rows)
+        # the reference's products have the shapes of the Gram's tiles
+        square = np.vstack([matern(H[t], H) for t in surrogate._row_tiles(14)])
+        cross = np.vstack([matern(H[t], Q) for t in surrogate._row_tiles(14)])
         assert np.array_equal(mixture_gram(H, Q, p, bl), cross)
         assert np.array_equal(mixture_gram(H, None, p, bl)[upper], square[upper])
 
@@ -688,11 +702,12 @@ def test_a_column_that_holds_one_value_on_a_side_is_not_coded():
     A[:, 1] = 0.5  # one value on A's side
     B[:, 0] = 1.0  # one value on B's side
     a, b = surrogate._block_inputs(A, B, p, bl)
-    # only the column that varies on both sides is coded; each constant
-    # column's matches are one vector on the other side
-    assert a.z.shape == (30, 1) and b.z.shape == (20, 1)
+    # only the column constant on the column side B is not coded: its
+    # matches are one vector over A's rows; the column constant on A
+    # alone is coded like the one that varies on both sides
+    assert a.z.shape == (30, 2) and b.z.shape == (20, 2)
     assert np.array_equal(a.zc, A[:, 0] == 1.0)
-    assert np.array_equal(b.zc, B[:, 1] == 0.5)
+    assert b.zc is None
     assert np.array_equal(mixture_gram(A, B, p, bl), float_indicator_gram(A, B, p.lam))
     # every column constant on the query side: nothing is coded, and the
     # indicator is one column against the queries
@@ -704,8 +719,8 @@ def test_a_column_that_holds_one_value_on_a_side_is_not_coded():
     assert np.array_equal(mixture_gram(A, B, p, bl), float_indicator_gram(A, B, p.lam))
 
 
-@pytest.mark.parametrize("q,align,tile,piece", TILINGS)
-def test_posterior_triangle_over_one_qualitative_selection(q, align, tile, piece, monkeypatch):
+@pytest.mark.parametrize("q,rows", TILINGS)
+def test_posterior_triangle_over_one_qualitative_selection(q, rows, monkeypatch):
     # a bandit group's share: every qualitative column of the queries
     # holds the group's selection
     space = mixed_space()
@@ -714,17 +729,14 @@ def test_posterior_triangle_over_one_qualitative_selection(q, align, tile, piece
     model = gp_fit(sample_inputs(rng, space, 12), rng.standard_normal(12), space)
     Q = sample_inputs(rng, space, q)
     Q[:, bl.z] = [0.5, 1.0]
-    set_tiles(monkeypatch, align, tile, piece)
-    monkeypatch.setattr(surrogate, "_TRIANGLE_PIECE_ROWS", 5)
+    set_tiles(monkeypatch, rows)
     p = model.params
     ks = mixture_gram(model.inputs, Q, p, bl)
     w = solve_triangular(model._chol, ks, lower=True)
-    prior = mixture_gram(Q, Q, p, bl)
-    want = prior.copy()
-    for rows in surrogate._row_tiles(q, q):
-        want[rows] -= w[:, rows].T @ w
-    poison_lower_triangle(monkeypatch)
-    cov = surrogate._upper_gram(Q, p, bl, w)
+    want = tiled_triangle(Q, p, bl, w)
+    with monkeypatch.context() as poisoned:
+        poison_lower_triangle(poisoned)
+        cov = surrogate._upper_gram(Q, p, bl, w)
     upper = np.triu_indices(q)
     assert np.array_equal(cov[upper], want[upper])
     assert not np.any(np.tril(cov, -1))
@@ -789,9 +801,9 @@ def test_coded_indicator_matches_float_comparison(case, monkeypatch):
     square, cross = float_indicator_gram(A, A, p.lam), float_indicator_gram(A, B, p.lam)
     # more than 255 distinct values in a column need 16-bit codes
     assert surrogate._codes(A).dtype == (np.uint16 if case == "many-values" else np.uint8)
-    # one tile of whole-matrix pieces; then 2-row tiles with 1-row pieces
-    for align, tile, piece in ((None, None, None), (2, 4 * n, 1)):
-        set_tiles(monkeypatch, align, tile, piece)
+    # 64-row tiles; then 2-row tiles
+    for rows in (None, 2):
+        set_tiles(monkeypatch, rows)
         assert np.array_equal(mixture_gram(A, None, p, bl), square)
         assert np.array_equal(mixture_gram(A, B, p, bl), cross)
         assert np.array_equal(mixture_gram(B, A, p, bl), cross.T)
@@ -810,8 +822,8 @@ def test_gp_sample_over_several_row_tiles_matches_numpy_cholesky(monkeypatch):
     root, _ = reference_cholesky(cov, 1e-10, 6)
     z = np.random.default_rng(6).standard_normal((q, 3))
     want = mean + model.target_std * (root @ z).T
-    set_tiles(monkeypatch, 2, 8 * q, 1)  # 8-row tiles, 1-row pieces
-    assert len(list(surrogate._row_tiles(q, q))) == 5
+    set_tiles(monkeypatch, 8)
+    assert len(list(surrogate._row_tiles(q))) == 5
     got = gp_sample(model, Q, np.random.default_rng(6), count=3)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -859,10 +871,9 @@ def check_factor(m, below=None, first=1e-10, retries=6, entrywise=True):
     return jitter
 
 
-@pytest.mark.parametrize("tile", [None, 16])
-def test_cholesky_matches_numpy(tile, monkeypatch):
-    if tile is not None:
-        monkeypatch.setattr(surrogate, "_TILE_ELEMENTS", tile)
+@pytest.mark.parametrize("rows", [None, pytest.param(2, id="16")])
+def test_cholesky_matches_numpy(rows, monkeypatch):
+    set_tiles(monkeypatch, rows)
     rng = np.random.default_rng(4)
     a = rng.standard_normal((11, 11))
     spd = a @ a.T + 11.0 * np.eye(11)
@@ -878,10 +889,9 @@ def test_cholesky_matches_numpy(tile, monkeypatch):
     assert check_factor(mixture_gram(H, None, p, space.blocks), entrywise=False) > 0.0
 
 
-@pytest.mark.parametrize("tile", [None, 16])
-def test_cholesky_failure_leaves_the_source_unchanged(tile, monkeypatch):
-    if tile is not None:
-        monkeypatch.setattr(surrogate, "_TILE_ELEMENTS", tile)
+@pytest.mark.parametrize("rows", [None, pytest.param(2, id="16")])
+def test_cholesky_failure_leaves_the_source_unchanged(rows, monkeypatch):
+    set_tiles(monkeypatch, rows)
     rng = np.random.default_rng(5)
     a = rng.standard_normal((9, 9))
     indefinite = a + a.T
@@ -954,6 +964,28 @@ def test_gp_sample_holds_about_one_candidate_covariance():
         tracemalloc.stop()
     assert draws.shape == (8, q)
     assert peak <= 2.5 * q * q * 8
+
+
+def test_a_draw_over_2048_candidates_at_d32_peaks_below_44_mb():
+    # the triangle alone is 32 MB; everything else a draw holds at once
+    # must stay small, so D = 64 spaces cannot exhaust memory
+    space = SearchSpace(
+        [ParamSpec(f"x{i}", "real", lo=0.0, hi=1.0) for i in range(8)]
+        + [ParamSpec(f"n{i}", "integer", lo=0, hi=9) for i in range(8)]
+        + [ParamSpec(f"c{i}", "categorical", categories=("a", "b", "c", "d")) for i in range(8)]
+        + [ParamSpec(f"f{i}", "boolean") for i in range(8)]
+    )
+    rng = np.random.default_rng(33)
+    model = gp_fit(space.snap(rng.random((72, 32))), rng.standard_normal(72), space)
+    Q = space.snap(rng.random((2048, 32)))
+    tracemalloc.start()
+    try:
+        draws = gp_sample(model, Q, np.random.default_rng(0), count=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws.shape == (8, 2048)
+    assert peak <= 44 * 2**20
 
 
 def test_draws_over_duplicated_candidates_are_equal_up_to_the_jitter():
