@@ -445,10 +445,10 @@ def _gram_tile(a: _Inputs, b: _Inputs, params: KernelParams, out: np.ndarray) ->
     """
     d2 = _sqdist(a.x, a.xx, b.x, b.xx) if a.x is not None else None
     discrete = [] if a.y is None else [a.y @ b.y.T]
-    if d2 is None and not discrete and not a.dz:
-        raise ValueError("cannot evaluate a kernel over zero dimensions")
     if a.dz:
         discrete.append(_indicator_gram(a, b))
+    if d2 is None and not discrete:
+        raise ValueError("cannot evaluate a kernel over zero dimensions")
     if discrete:
         fa, fc = _discrete_part(*_sum_and_product(discrete), params.lam, d2 is not None)
     if d2 is None:
