@@ -44,8 +44,11 @@ dist_kept = np.linalg.norm(kept - 0.25, axis=1).mean()
 dist_all = np.linalg.norm(cands - 0.25, axis=1).mean()
 print("mean distance to basin, kept vs all:", round(dist_kept, 3), "vs", round(dist_all, 3))
 
-# Restart seeding draws uniformly from the good side by rejection.
+# Restart seeding draws uniformly from the good side by rejection. The
+# draws are rows of the warped cube, like the candidates; the optimizer
+# unwarps them into points as it does every batch it serves.
 space = SearchSpace([ParamSpec("u", "real", lo=0.0, hi=1.0), ParamSpec("v", "real", lo=0.0, hi=1.0)])
-seeds = restart_samples(clf, space, rng, count=5)
-for s in seeds:
-    print("  restart candidate:", {k: round(v, 3) for k, v in s.items()})
+seeds = restart_samples(clf, rng, count=5)
+print("restart rows on the good side:", int((clf.decision(seeds) >= 0).sum()), "of", seeds.shape[0])
+for w in seeds:
+    print("  restart candidate:", {k: round(v, 3) for k, v in space.unwarp(w).items()})

@@ -7,9 +7,9 @@ Vandewalle, 1999) is trained on the warped inputs to carve the cube
 into a good region and a bad region. The good region is where the
 decision value is nonnegative, the side of the points labeled good.
 Candidate points outside it are discarded before acquisition, and
-restart proposals are drawn from it by rejection sampling, so a fresh
-trust region starts in territory that history suggests is promising
-rather than anywhere in the cube.
+restart rows of the cube are drawn from it by rejection sampling, so a
+fresh trust region starts in territory that history suggests is
+promising rather than anywhere in the cube.
 
 The classifier is one dense linear solve: the least-squares form turns
 the SVM's quadratic program into a bordered (n+1)x(n+1) system, so it
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import Point, SearchSpace
 from .surrogate import sqdist
 
 
@@ -212,20 +211,19 @@ def filter_candidates(classifier: RegionClassifier, candidates: np.ndarray) -> n
 
 def restart_samples(
     classifier: RegionClassifier,
-    space: SearchSpace,
     rng: np.random.Generator,
     count: int,
-) -> list[Point]:
+) -> np.ndarray:
     """Uniform draws from the good region by rejection sampling.
 
-    Draws uniform points in the warped cube and keeps those with a
+    Draws uniform rows of the warped cube and keeps those with a
     nonnegative decision value, stopping after ``count`` acceptances or
     ``50 * count`` attempts; any shortfall is filled with unconditioned
-    uniform points so exactly ``count`` points always come back.
+    uniform rows so exactly ``count`` rows, shape ``(count, D)``, come back.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    d = space.dim
+    d = classifier.support_vectors.shape[1]
     accepted: list[np.ndarray] = []
     attempts = 0
     budget = 50 * count
@@ -239,4 +237,4 @@ def restart_samples(
     out = accepted[:count]
     while len(out) < count:
         out.append(rng.random(d))
-    return [space.unwarp(w) for w in out]
+    return np.array(out)

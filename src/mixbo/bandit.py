@@ -135,5 +135,5 @@ def overwrite_qualitative(
         k = selection[p.name]
         if not 0 <= k < p.n_arms:
             raise ValueError(f"arm {k} out of range for variable {p.name!r}")
-        out[:, space.index(p.name)] = k / (p.n_arms - 1)
+        out[:, space.index(p.name)] = p.warp_value(p.choices[k])
     return out

@@ -10,11 +10,13 @@ function of the evaluated point and a noise seed, so repeated studies
 see identical values.
 
 Studies run arms of a fixed ablation ladder against these objectives
-with paired seeds. An arm's quality on an objective is a normalized
-score: 100 means the known optimum was reached, 0 means no better than
-random search with the same seeds, negative means worse than random
-(clipped at -100). Results serialize to a per-iteration CSV of traces
-and a JSON summary of scores.
+with paired seeds. A study's curve follows the noiseless value of its
+best observed point, so noise cannot carry it below the optimum. An
+arm's quality on an objective is a normalized score: 100 means the
+known optimum was reached, 0 means no better than random search with
+the same seeds, negative means worse than random (clipped at -100).
+Results serialize to a per-iteration CSV of traces and a JSON summary
+of scores.
 """
 
 from __future__ import annotations
@@ -316,8 +318,12 @@ class RandomSearch:
 class StudyTrace:
     """Best-so-far curve of one (objective, optimizer, seed) run.
 
-    ``best_values[i]`` is the best observed value after batch i. A
-    failed run records the error message and an empty curve.
+    ``best_values[i]`` is the noiseless value ``objective.fn`` at the
+    point with the lowest observed value after batch i, the earliest on
+    ties (+inf before any finite value). For a noiseless objective that
+    is the best observed value; on a noisy one the curve can rise when a
+    lucky observation takes over. A failed run records the error message
+    and an empty curve.
     """
 
     objective: str
@@ -366,15 +372,17 @@ def run_study(
                 opt = RandomSearch(objective.space, base_config.batch_size, seed)
             else:
                 opt = Optimizer(objective.space, arm_config(arm, base_config, seed))
-            best = math.inf
+            # noise that pushes an observation below the optimum must not
+            # score above 100
+            best = recorded = math.inf
             for _ in range(base_config.max_iterations):
                 pts = opt.suggest()
                 vals = [objective.evaluate(p) for p in pts]
                 opt.observe(pts, vals)
-                finite = [v for v in vals if math.isfinite(v)]
-                if finite:
-                    best = min(best, min(finite))
-                curve.append(best)
+                for p, v in zip(pts, vals):
+                    if math.isfinite(v) and v < best:
+                        best, recorded = v, float(objective.fn(p))
+                curve.append(recorded)
         except Exception as exc:  # noqa: BLE001 - a failed run must not sink the study
             curve, error = [], f"{type(exc).__name__}: {exc}"
         traces.append(
@@ -408,8 +416,9 @@ def normalized_score(
     Raises
     ------
     ScoreError
-        If random search already sits at the optimum (or below it, which
-        only noise can cause), leaving nothing to normalize by.
+        If random search already sits at the known optimum (or below it,
+        where the documented optimum is not the exact minimum), leaving
+        nothing to normalize by.
     """
     finals = [t.best_values[-1] for t in traces if not t.error and t.best_values]
     ref = [t.best_values[-1] for t in random_traces if not t.error and t.best_values]
@@ -438,10 +447,11 @@ def run_ablation(
     """Run the full ablation ladder plus the random reference.
 
     Every arm sees the same seeds on the same objectives (paired
-    comparison). The random reference that defines score zero is also
-    reported as the ``"random"`` row, where it scores exactly zero by
-    construction; the row documents the normalization rather than adding
-    information.
+    comparison). The random reference that defines score zero is the
+    mean over this call's seeds, so two calls on disjoint seeds do not
+    average to one call on their union. It is also reported as the
+    ``"random"`` row, where it scores exactly zero by construction; the
+    row documents the normalization rather than adding information.
 
     Parameters
     ----------

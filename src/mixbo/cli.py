@@ -79,10 +79,10 @@ def serve(
     """Serve the ask/tell protocol until the input stream ends.
 
     ``space_doc`` and ``config_doc`` act as defaults for ``hello``
-    messages that omit them. Blank lines are ignored. Malformed or
-    out-of-turn messages, and any other exception a request raises,
-    produce ``error`` responses and never stop the loop, so a
-    misbehaving driver cannot wedge the server.
+    messages that omit them or send them as null. Blank lines are
+    ignored. Malformed or out-of-turn messages, and any other exception
+    a request raises, produce ``error`` responses and never stop the
+    loop, so a misbehaving driver cannot wedge the server.
     """
     opt: Optimizer | None = None
     for raw in instream:
@@ -100,14 +100,15 @@ def serve(
             continue
         try:
             if kind == "hello":
-                sdoc = msg.get("space", space_doc)
+                # a missing or null document takes the server's default;
+                # with no config either way, the library's defaults apply
+                sdoc = space_doc if msg.get("space") is None else msg["space"]
                 if sdoc is None:
                     write_message(
                         outstream, "error", message='hello needs a "space" document'
                     )
                     continue
-                # only a missing or null config means the defaults
-                cdoc = msg.get("config", config_doc)
+                cdoc = config_doc if msg.get("config") is None else msg["config"]
                 space = space_from_dict(sdoc)
                 config = config_from_dict({} if cdoc is None else cdoc)
                 opt = Optimizer(space, config)

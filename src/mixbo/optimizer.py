@@ -289,9 +289,8 @@ class Optimizer:
     def _restart_batch(self) -> np.ndarray:
         b = self.config.batch_size
         if self.config.enable_arp and self._classifier is not None:
-            pts = arp_mod.restart_samples(self._classifier, self.space, self._rng, b)
-            return np.array([self.space.warp(p) for p in pts])
-        return np.array([self.space.warp(self.space.random_point(self._rng)) for _ in range(b)])
+            return arp_mod.restart_samples(self._classifier, self._rng, b)
+        return self._rng.random((b, self.space.dim))
 
     def _model_batch(self) -> np.ndarray:
         space = self.space

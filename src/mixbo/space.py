@@ -45,7 +45,8 @@ class ValidationError(ValueError):
 
 def is_integer(value: Any) -> bool:
     """True for a Python or NumPy integer; a bool is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # int first: an isinstance check against an ABC takes several times longer
+    return isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool)
 
 
 def _round_half_down(x: float) -> int:
@@ -156,17 +157,13 @@ class ParamSpec:
 
     def validate_value(self, value: Any) -> None:
         """Raise ValidationError unless value is admissible for this parameter."""
-        if self.kind == "real":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValidationError(f"parameter {self.name!r}: expected a real number, got {value!r}")
-            if not (self.lo <= value <= self.hi):
-                raise ValidationError(
-                    f"parameter {self.name!r}: value {value!r} outside [{self.lo}, {self.hi}]"
-                )
-        elif self.kind == "integer":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValidationError(f"parameter {self.name!r}: expected an integer, got {value!r}")
-            if isinstance(value, float):
+        if self.kind in ("real", "integer"):
+            # Python and NumPy numbers alike, the Python types checked first
+            # as in is_integer; a bool or np.bool_ is not one
+            if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
+                wanted = "a real number" if self.kind == "real" else "an integer"
+                raise ValidationError(f"parameter {self.name!r}: expected {wanted}, got {value!r}")
+            if self.kind == "integer" and not is_integer(value):
                 if not math.isfinite(value):
                     raise ValidationError(f"parameter {self.name!r}: value {value!r} is not finite")
                 if value != int(value):
@@ -175,7 +172,7 @@ class ParamSpec:
                 raise ValidationError(
                     f"parameter {self.name!r}: value {value!r} outside [{self.lo}, {self.hi}]"
                 )
-        elif self.kind == "boolean" and not isinstance(value, bool):
+        elif self.kind == "boolean" and not isinstance(value, (bool, np.bool_)):
             # 1 and 0.0 equal True and False, so membership alone admits them
             raise ValidationError(f"parameter {self.name!r}: expected a boolean, got {value!r}")
         elif value not in self.choices:
@@ -187,7 +184,7 @@ class ParamSpec:
         if self.is_qualitative:
             return self.choices.index(value) / (self.n_arms - 1)
         if self.scale == "log":
-            return math.log(value / self.lo) / math.log(self.hi / self.lo)
+            return math.log(float(value) / self.lo) / math.log(self.hi / self.lo)
         return (float(value) - self.lo) / (self.hi - self.lo)
 
     def unwarp_value(self, coord: float) -> Any:

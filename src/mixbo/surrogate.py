@@ -32,7 +32,8 @@ that race to those that leave the leader's remaining sweeps whole, so
 fits are reproducible and their cost is bounded. Every
 training Gram of a fit, searched or final, comes from one builder and
 is factored in its buffer by LAPACK ``potrf``. The builder makes the
-sum and product of the discrete Grams once per fit, keeps the pieces of
+sum and product of the discrete Grams once per fit, by the same function
+and from the same inputs as every tile of a Gram, keeps the pieces of
 its last Gram and rebuilds only those a probe changed: only a
 lengthscale probe recomputes the scaled distances and the Matern
 factors, a signal-variance probe rescales the Matern Gram and
@@ -337,41 +338,24 @@ class _Inputs(NamedTuple):
         return _Inputs(*(v[rows] if isinstance(v, np.ndarray) else v for v in self))
 
 
-def _qualitative_inputs(ZA: np.ndarray, ZB: np.ndarray) -> tuple:
-    """The codes of ZA, the codes of ZB and ZA's match counts, for the qualitative blocks of a Gram.
-
-    ZA holds the Gram's rows and ZB its columns. A column that holds one
-    value on ZB matches ZA's rows as one vector: ``ZA[:, j] == ZB[0, j]``
-    is added to ZA's counts. Every other column is coded, ZA's and ZB's
-    together, and compared entry by entry. Absent parts are None.
-    """
-    # NaN compares unequal to itself, so a column with one never qualifies
-    constant = (ZB == ZB[:1]).all(axis=0) if ZB.shape[0] else np.zeros(ZB.shape[1], dtype=bool)
-    counts = za = zb = None
-    if constant.any():
-        counts = (ZA[:, constant] == ZB[0, constant]).sum(axis=1, dtype=np.min_scalar_type(ZA.shape[1]))
-    if not constant.all():
-        both = _codes(np.vstack([ZA[:, ~constant], ZB[:, ~constant]]))
-        za, zb = both[: ZA.shape[0]], both[ZA.shape[0] :]
-    return za, zb, counts
-
-
-def _block_inputs(A: np.ndarray, B: np.ndarray, params: KernelParams, blocks: Blocks) -> tuple[_Inputs, _Inputs]:
+def _block_inputs(A: np.ndarray, B: np.ndarray, params: KernelParams | None, blocks: Blocks) -> tuple[_Inputs, _Inputs]:
     """The block inputs of the rows of A and of B, coded together.
 
-    Each is built once for a whole Gram, and its tiles take row slices.
-    The features are C-contiguous whatever the order of A and B, and a
-    row's squared norm adds its squares one dimension at a time, so the
-    Gram has the same bits for C- and F-ordered points. B's inputs are a
-    second buffer even where B is A: a NaN then matches no entry, itself
-    included, and no product multiplies a buffer by its own transpose,
-    which numpy computes with ``syrk`` instead of ``gemm``.
+    Each is built once for a whole Gram, and its tiles take row slices;
+    params is read only for an x-block's lengthscales. The features are
+    C-contiguous whatever the order of A and B, and a row's squared norm
+    adds its squares one dimension at a time, so the Gram has the same
+    bits for C- and F-ordered points. B's inputs are a second buffer
+    even where B is A: a NaN then matches no entry, itself included, and
+    no product multiplies a buffer by its own transpose, which numpy
+    computes with ``syrk`` instead of ``gemm``. A qualitative column that
+    holds one value on B adds ``A[:, j] == B[0, j]`` to A's counts.
     """
 
     def stacked(block: np.ndarray) -> np.ndarray:
         return np.vstack([A[:, block], B[:, block]])
 
-    x = xx = y = None
+    x = xx = y = z = counts = None
     if blocks.x.size:
         xf = np.asfortranarray(stacked(blocks.x) / params.lengthscales)
         # an F-ordered sum adds a row's squares one dimension at a time
@@ -379,14 +363,18 @@ def _block_inputs(A: np.ndarray, B: np.ndarray, params: KernelParams, blocks: Bl
         x = np.ascontiguousarray(xf)
     if blocks.y.size:
         y = np.ascontiguousarray(stacked(blocks.y))
-    n = A.shape[0]
-    both = _Inputs(x, xx, y, None, None, 0)
-    a, b = both.rows(slice(0, n)), both.rows(slice(n, None))
     if blocks.z.size:
-        za, zb, counts = _qualitative_inputs(A[:, blocks.z], B[:, blocks.z])
-        a = a._replace(z=za, zc=counts, dz=blocks.z.size)
-        b = b._replace(z=zb, dz=blocks.z.size)
-    return a, b
+        ZB = B[:, blocks.z]
+        # NaN compares unequal to itself, so a column with one never qualifies
+        constant = (ZB == ZB[:1]).all(axis=0) if ZB.shape[0] else np.zeros(blocks.z.size, dtype=bool)
+        if constant.any():
+            matches = A[:, blocks.z[constant]] == ZB[0, constant]
+            counts = matches.sum(axis=1, dtype=np.min_scalar_type(blocks.z.size))
+        if not constant.all():
+            z = _codes(stacked(blocks.z[~constant]))
+    n = A.shape[0]
+    both = _Inputs(x, xx, y, z, None, blocks.z.size)
+    return both.rows(slice(0, n))._replace(zc=counts), both.rows(slice(n, None))
 
 
 def _indicator_gram(a: _Inputs, b: _Inputs) -> np.ndarray:
@@ -411,14 +399,17 @@ def _indicator_gram(a: _Inputs, b: _Inputs) -> np.ndarray:
     return np.divide(counts, a.dz, dtype=float)
 
 
-def _sum_and_product(grams) -> tuple[np.ndarray, np.ndarray]:
-    """The sum and the product of the discrete block Grams, the linear Gram first.
+def _discrete_grams(a: _Inputs, b: _Inputs) -> tuple[np.ndarray, np.ndarray] | None:
+    """The sum and the product of the linear and indicator Grams of the rows of a against those of b.
 
-    One Gram is its own sum and product. The Grams are never modified.
+    One Gram is its own sum and product; without either block, None.
     """
-    if len(grams) == 1:
-        return grams[0], grams[0]
-    return grams[0] + grams[1], grams[0] * grams[1]
+    grams = [] if a.y is None else [a.y @ b.y.T]
+    if a.dz:
+        grams.append(_indicator_gram(a, b))
+    if len(grams) == 2:
+        return grams[0] + grams[1], grams[0] * grams[1]
+    return (grams[0], grams[0]) if grams else None
 
 
 def _discrete_part(total: np.ndarray, prod: np.ndarray, lam: float, matern: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -444,18 +435,16 @@ def _gram_tile(a: _Inputs, b: _Inputs, params: KernelParams, out: np.ndarray) ->
     and ``k_M * a + c``, each on the whole tile.
     """
     d2 = _sqdist(a.x, a.xx, b.x, b.xx) if a.x is not None else None
-    discrete = [] if a.y is None else [a.y @ b.y.T]
-    if a.dz:
-        discrete.append(_indicator_gram(a, b))
-    if d2 is None and not discrete:
+    discrete = _discrete_grams(a, b)
+    if d2 is None and discrete is None:
         raise ValueError("cannot evaluate a kernel over zero dimensions")
-    if discrete:
-        fa, fc = _discrete_part(*_sum_and_product(discrete), params.lam, d2 is not None)
+    if discrete is not None:
+        fa, fc = _discrete_part(*discrete, params.lam, d2 is not None)
     if d2 is None:
         np.add(fa, fc, out=out)
         return
     _matern(*_matern_factors(d2), params.signal_variance, out)
-    if discrete:
+    if discrete is not None:
         out *= fa
         out += fc
 
@@ -614,11 +603,13 @@ def _training_gram(X: np.ndarray, blocks: Blocks):
     ``theta`` holds the log lengthscales, log signal variance and log
     noise variance. Every call fills and returns the same n x n buffer.
     The x-block's per-dimension squared differences, and the sum and the
-    product of the linear and indicator Grams, are computed once; each
-    is the same for (i, j) as for (j, i), so every Gram is exactly
-    symmetric. The noiseless Gram is ``k_M * a + c`` (``a + c`` without
-    an x-block, the Matern Gram k_M alone without a discrete block), with
-    the discrete part ``(a, c)`` of :func:`_discrete_part`.
+    product of the linear and indicator Grams, which come from
+    :func:`_discrete_grams` and :func:`_block_inputs` as in every tile,
+    are computed once; each is the same for (i, j) as for (j, i), so
+    every Gram is exactly symmetric. The noiseless Gram is
+    ``k_M * a + c`` (``a + c`` without an x-block, the Matern Gram k_M
+    alone without a discrete block), with the discrete part ``(a, c)``
+    of :func:`_discrete_part`.
 
     A call rebuilds only the pieces whose inputs differ from the last
     call's: the two lengthscale-only Matern factors when a lengthscale
@@ -638,19 +629,13 @@ def _training_gram(X: np.ndarray, blocks: Blocks):
     dx = blocks.x.size
     Xx = X[:, blocks.x]
     diff2 = ((Xx[:, None, :] - Xx[None, :, :]) ** 2).reshape(n * n, dx) if dx else None
-    discrete = []
-    if blocks.y.size:
-        Y = X[:, blocks.y]
-        discrete.append(Y @ Y.T)
-    if blocks.z.size:
-        # the inputs are finite, so a row matches itself as the value does
-        Z = X[:, blocks.z]
-        za, zb, counts = _qualitative_inputs(Z, Z)
-        a = _Inputs(None, None, None, za, counts, blocks.z.size)
-        discrete.append(_indicator_gram(a, a._replace(z=zb, zc=None)))
-    if not (dx or discrete):
+    # one set of inputs on both sides: the inputs are finite, so a row
+    # matches itself, and the linear Gram is a syrk product
+    a, _ = _block_inputs(X, X, None, Blocks(blocks.x[:0], blocks.y, blocks.z))
+    discrete = _discrete_grams(a, a)
+    if not dx and discrete is None:
         raise ValueError("cannot evaluate a kernel over zero dimensions")
-    total, prod = _sum_and_product(discrete) if discrete else (None, None)
+    total, prod = (None, None) if discrete is None else discrete
     matern = np.empty((n, n)) if dx else None
     # without a discrete block the noiseless Gram is the Matern Gram
     noiseless = np.empty((n, n)) if total is not None else matern

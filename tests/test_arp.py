@@ -171,9 +171,8 @@ def test_filter_and_restarts_share_the_training_sign():
     assert 0.2 * cand.shape[0] <= good.sum() < cand.shape[0]
     kept = filter_candidates(clf, cand)
     np.testing.assert_array_equal(kept, cand[good])
-    space = SearchSpace([ParamSpec("a", "real", lo=0.0, hi=1.0)])
-    pts = restart_samples(clf, space, np.random.default_rng(0), count=30)
-    W = np.array([space.warp(p) for p in pts])
+    W = restart_samples(clf, np.random.default_rng(0), count=30)
+    assert W.shape == (30, 1)
     assert np.all(clf.decision(W) >= 0)
 
 
@@ -212,12 +211,8 @@ def test_restart_samples_live_in_the_good_region():
     X = rng.random((60, 2))
     y = X[:, 0] < 0.5
     clf = fit_classifier(X, y)
-    space = SearchSpace(
-        [ParamSpec("a", "real", lo=0.0, hi=1.0), ParamSpec("b", "real", lo=0.0, hi=1.0)]
-    )
-    pts = restart_samples(clf, space, np.random.default_rng(2), count=25)
-    assert len(pts) == 25
-    W = np.array([space.warp(p) for p in pts])
+    W = restart_samples(clf, np.random.default_rng(2), count=25)
+    assert W.shape == (25, 2)
     dec = clf.decision(W)
     # the sampler prefers the modeled good side; allow a small spill
     assert np.mean(dec >= 0) >= 0.8
@@ -233,10 +228,10 @@ def test_restart_samples_fill_with_uniform_when_region_is_tiny():
     space = SearchSpace(
         [ParamSpec("a", "real", lo=0.0, hi=1.0), ParamSpec("b", "real", lo=0.0, hi=1.0)]
     )
-    pts = restart_samples(clf, space, np.random.default_rng(3), count=20)
-    assert len(pts) == 20
-    for p in pts:
-        space.validate(p)
+    W = restart_samples(clf, np.random.default_rng(3), count=20)
+    assert W.shape == (20, 2)
+    for w in W:
+        space.validate(space.unwarp(w))
 
 
 def test_config_threshold_resolution():

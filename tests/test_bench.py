@@ -10,6 +10,8 @@ import pytest
 from mixbo.bench import (
     ARMS,
     RANDOM_ARM,
+    Objective,
+    RandomSearch,
     ScoreError,
     StudyTrace,
     arm_config,
@@ -23,6 +25,7 @@ from mixbo.bench import (
     write_traces_csv,
 )
 from mixbo.optimizer import OptimizerConfig
+from mixbo.space import ParamSpec, SearchSpace
 
 OPTIMA = {
     "mixed-sphere": {"x1": 0.3, "x2": 0.3, "x3": 0.3, "x4": 0.3, "n1": 7, "n2": 3, "c1": "b", "c2": "v"},
@@ -164,6 +167,20 @@ def test_run_study_captures_objective_failures():
     traces = run_study("baseline", boom, seeds=[0], base_config=OptimizerConfig(batch_size=4, max_iterations=2))
     assert traces[0].error is not None
     assert traces[0].best_values == ()
+
+
+def test_a_noisy_curve_records_the_noiseless_value_at_the_best_observed_point():
+    space = SearchSpace([ParamSpec("x", "real", lo=-1.0, hi=1.0)])
+    ob = Objective(name="noisy-bowl", space=space, fn=lambda pt: pt["x"] ** 2, known_optimum=0.0, noise_std=1.0)
+    cfg = OptimizerConfig(batch_size=4, max_iterations=3)
+    (trace,) = run_study(RANDOM_ARM, ob, seeds=[0], base_config=cfg)
+    search = RandomSearch(space, 4, 0)
+    observed = [(ob.evaluate(pt), pt) for _ in range(3) for pt in search.suggest()]
+    # min keeps the earliest of equal values
+    want = [ob.fn(min(observed[: 4 * i], key=lambda t: t[0])[1]) for i in (1, 2, 3)]
+    assert trace.best_values == tuple(want)
+    # the noise pushed an observation below the optimum; the curve stays above it
+    assert min(v for v, _ in observed) < ob.known_optimum <= min(trace.best_values)
 
 
 def test_random_arm_follows_the_same_protocol():

@@ -96,10 +96,23 @@ def test_hello_uses_preset_documents():
     assert len(replies[1]["points"]) == 2
 
 
+def test_a_null_document_in_hello_takes_the_preset_one():
+    nulls = [{"space": None}, {"config": None}, {"space": None, "config": None}]
+    lines = [json.dumps({"kind": "hello", "space": SPACE_DOC, "config": None, **doc}) for doc in nulls]
+    code, replies = feed(
+        [line for hello in lines for line in (hello, '{"kind": "suggest_request"}')],
+        space_doc=SPACE_DOC,
+        config_doc={"batch_size": 2, "seed": 0},
+    )
+    assert code == 0
+    assert [r["kind"] for r in replies] == ["ack", "suggestions"] * len(nulls)
+    assert all(len(r["points"]) == 2 for r in replies[1::2])
+
+
 def test_hello_without_any_space_is_an_error():
-    code, replies = feed(['{"kind": "hello"}'])
-    assert replies[0]["kind"] == "error"
-    assert "space" in replies[0]["message"]
+    code, replies = feed(['{"kind": "hello"}', '{"kind": "hello", "space": null}'])
+    assert [r["kind"] for r in replies] == ["error", "error"]
+    assert all("space" in r["message"] for r in replies)
 
 
 def test_hello_rejects_a_config_that_is_not_an_object():

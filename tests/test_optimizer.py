@@ -677,9 +677,9 @@ def record_restart_calls(monkeypatch):
     calls = {"restart_samples": [], "gp_mean": 0}
     samples, mean = arp.restart_samples, optimizer.gp_mean
 
-    def restart_samples(clf, space, rng, count):
+    def restart_samples(clf, rng, count):
         calls["restart_samples"].append(count)
-        return samples(clf, space, rng, count)
+        return samples(clf, rng, count)
 
     def gp_mean(*args):
         calls["gp_mean"] += 1

@@ -173,6 +173,20 @@ def test_non_finite_and_huge_numbers_are_validation_errors(name, value):
         sp.warp(pt)
 
 
+def test_numpy_scalars_are_admissible_values():
+    sp = mixed_space()
+    plain = {"xr": 0.5, "xl": 0.25, "ni": 3, "nl": 64, "b": True, "c": "mid"}
+    numpy = {"xr": np.float32(0.5), "xl": np.float32(0.25), "ni": np.int64(3), "nl": np.int32(64),
+             "b": np.bool_(True), "c": np.str_("mid")}
+    sp.validate(numpy)
+    assert sp.warp(numpy).tobytes() == sp.warp(plain).tobytes()
+    sp.validate({**plain, "xr": np.int64(0), "ni": np.float32(3.0)})
+    # np.bool_, like bool, is not a number here
+    for name in ("xr", "ni"):
+        with pytest.raises(ValidationError):
+            sp.validate({**plain, name: np.bool_(True)})
+
+
 # --- SearchSpace ------------------------------------------------------
 
 

@@ -674,17 +674,13 @@ def test_discrete_part_composes_the_mixture(present):
     def block_gram(kernel, idx, *args):
         return np.array([[kernel(a[idx], b[idx], *args) for b in Q] for a in H])
 
-    discrete = []
-    if bl.y.size:
-        discrete.append(block_gram(linear_kernel, bl.y))
-    if bl.z.size:
-        discrete.append(block_gram(indicator_kernel, bl.z))
     km = block_gram(matern52, bl.x, ls, 1.7) if bl.x.size else None
     for lam in surrogate._LAMBDA_GRID:
         p = KernelParams(lengthscales=ls, signal_variance=1.7, lam=lam)
         want = np.array([[mixture_kernel(a, b, p, bl) for b in Q] for a in H])
-        if discrete:
-            a, c = surrogate._discrete_part(*surrogate._sum_and_product(discrete), lam, km is not None)
+        discrete = surrogate._discrete_grams(*surrogate._block_inputs(H, Q, p, bl))
+        if discrete is not None:
+            a, c = surrogate._discrete_part(*discrete, lam, km is not None)
             got = a + c if km is None else km * a + c
         else:
             got = km
